@@ -11,7 +11,7 @@ parameters, and verifies every implemented inequality numerically on Gaussian
 test functions.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     AccuracyError,
@@ -66,7 +66,6 @@ from .optimizer import (
     equalizing_t0,
     minimize,
     objective,
-    objective_alt_form,
     two_term_bound,
 )
 from .oracle import (
@@ -129,7 +128,6 @@ __all__ = [
     "equalizing_t0",
     "minimize",
     "objective",
-    "objective_alt_form",
     "two_term_bound",
     "RadialTestFunction",
     "SweepReport",

@@ -56,6 +56,9 @@ SIGMA_OFFSET_MIN = 1e-6
 DEFAULT_SIGMA_WINDOW = 10.0
 DEFAULT_MEMBERSHIP_MARGIN = 1e-9
 
+# The equality residuals among the membership margins.
+_EQUALITY_MARGINS = frozenset(("q1_consistency", "q2_consistency"))
+
 
 @dataclass(frozen=True)
 class SigmaPoint:
@@ -145,8 +148,11 @@ def derive_q(
 
     1/q1 = (1/p - beta1/r1) / (1 - beta1) and
     1/q2 = (1/p - (1-beta2)/r2) / beta2; raises if a derived reciprocal
-    leaves [0, 1] by more than the equality tolerance.
+    leaves [0, 1] by more than the equality tolerance, or unless
+    beta1 < 1 and beta2 > 0 so that both conditions can be solved.
     """
+    if not (beta1 < 1.0 and beta2 > 0.0):
+        raise OutOfRangeError(f"need beta1 < 1 and beta2 > 0, got ({beta1!r}, {beta2!r})")
     recip_q1 = (problem.p.recip - beta1 * r1.recip) / (1.0 - beta1)
     recip_q2 = (problem.p.recip - (1.0 - beta2) * r2.recip) / beta2
     out = []
@@ -217,6 +223,24 @@ def feasibility_margins(
     return margins, frozenset(closed)
 
 
+def margins_ok(margins: Mapping[str, float], closed: frozenset[str], margin: float) -> bool:
+    """The membership rule on margins from :func:`feasibility_margins`.
+
+    Closed margins must be nonnegative up to ``CLOSED_TOL``, equality
+    residuals positive, and every other margin above ``margin``.
+    """
+    for name, value in margins.items():
+        if name in closed:
+            if value < -CLOSED_TOL:
+                return False
+        elif name in _EQUALITY_MARGINS:
+            if value <= 0.0:
+                return False
+        elif value <= margin:
+            return False
+    return True
+
+
 def in_sigma(
     problem: GnsProblem, point: SigmaPoint, margin: float = 0.0
 ) -> FeasibilityReport:
@@ -238,15 +262,9 @@ def in_sigma(
         )
     theta_value = theta(oriented).value
     margins, closed = feasibility_margins(oriented, theta_value, point)
-    ok = True
-    for name, value in margins.items():
-        if name in closed:
-            ok = ok and value >= -CLOSED_TOL
-        elif name.endswith("_consistency"):
-            ok = ok and value > 0.0
-        else:
-            ok = ok and value > margin
-    return FeasibilityReport(ok=ok, margins=margins, closed=closed)
+    return FeasibilityReport(
+        ok=margins_ok(margins, closed, margin), margins=margins, closed=closed
+    )
 
 
 def candidate_box(
@@ -282,13 +300,26 @@ def candidate_box(
     return box1, box2
 
 
-def _draw_in_box(box: tuple[float, float], u: float) -> float | None:
-    lo, hi = box
-    if hi < lo:
+def decode_candidate(
+    oriented: GnsProblem, beta1: float, beta2: float, sigma: float, u1: float, u2: float
+) -> SigmaPoint | None:
+    """The candidate at fractions (u1, u2) of the two draw boxes, or None.
+
+    None when either box is empty or the convexity conditions leave no valid
+    (q1, q2); membership is not checked here.
+    """
+    xs = []
+    for (lo, hi), u in zip(candidate_box(oriented, sigma, beta1, beta2), (u1, u2)):
+        if hi < lo:
+            return None
+        xs.append(lo if hi == lo else lo + u * (hi - lo))
+    r1 = LebesgueExponent(min(1.0, xs[0] / beta1))
+    r2 = LebesgueExponent(min(1.0, xs[1] / (1.0 - beta2)))
+    try:
+        q1, q2 = derive_q(oriented, beta1, beta2, r1, r2)
+    except OutOfRangeError:
         return None
-    if hi == lo:
-        return lo
-    return lo + u * (hi - lo)
+    return SigmaPoint(beta1, beta2, r1, r2, q1, q2, sigma)
 
 
 def sample_sigma(
@@ -349,19 +380,8 @@ def sample_sigma(
         b1 = beta1_lo + draws[0] * (beta1_hi - beta1_lo)
         b2 = beta2_lo + draws[1] * (beta2_hi - beta2_lo)
         sigma = lb + math.exp(log_off_lo + draws[2] * (log_off_hi - log_off_lo))
-        box1, box2 = candidate_box(oriented, sigma, b1, b2)
-        x1 = _draw_in_box(box1, draws[3])
-        x2 = _draw_in_box(box2, draws[4])
-        if x1 is None or x2 is None:
-            continue
-        r1 = LebesgueExponent(min(1.0, x1 / b1))
-        r2 = LebesgueExponent(min(1.0, x2 / (1.0 - b2)))
-        try:
-            q1, q2 = derive_q(oriented, b1, b2, r1, r2)
-        except OutOfRangeError:
-            continue
-        point = SigmaPoint(b1, b2, r1, r2, q1, q2, sigma)
-        if in_sigma(problem, point, margin=margin).ok:
+        point = decode_candidate(oriented, b1, b2, sigma, draws[3], draws[4])
+        if point is not None and in_sigma(problem, point, margin=margin).ok:
             points.append(point)
 
     if not points:

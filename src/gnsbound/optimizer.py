@@ -12,23 +12,20 @@ the equalized value is
 
     objective = (2 / Gamma(sigma)) * (C_small/a)^(b/(a+b)) * (C_large/b)^(a/(a+b)).
 
-A differently-packaged closed form assigns the exponent a/(a+b) to the
-small-time factor instead; the two agree only when the factors or the two
-beta gaps coincide.  Substituting the equalizing pivot into the two-term
-bound reproduces the form above, which is therefore what
-:func:`objective` returns; :func:`objective_alt_form` evaluates the
-alternative packaging and minimization certificates record whether the two
-agreed at the minimizer (``alt_form_agrees``).  The cross-check is
-exercised by the test suite via :func:`two_term_bound` and
-:func:`equalizing_t0`.
+This is the two-term bound of :func:`two_term_bound`, valid at every pivot,
+evaluated at the pivot of :func:`equalizing_t0`; the test suite checks the
+identity.  It is the only closed form used for a bound.
 
 Minimization is multi-start derivative-free simplex descent in transformed
-coordinates: betas through logistic maps onto their open ranges, the two
-ratio quantities through logistic maps onto their draw boxes (re-derived at
-every evaluation), and sigma through a softplus offset from its lower bound.
-Infeasible trial points receive a large penalty.  Starts own generators
-seeded ``seed + start_index`` and results merge by start order, so the
-certificate is a deterministic function of (problem, config).
+coordinates: betas through logistic maps onto their open ranges, sigma
+through a softplus offset from its lower bound, and the two ratio quantities
+through logistic maps onto fractions of their draw boxes (re-derived at every
+evaluation).  :func:`~gnsbound.feasible.decode_candidate` turns those values
+into a candidate exactly as the sampler does.  Trial points failing the
+membership rule of :func:`~gnsbound.feasible.in_sigma` receive a large
+penalty.  Starts own generators seeded ``seed + start_index`` and results
+merge by start order, so the certificate is a deterministic function of
+(problem, config).
 """
 
 from __future__ import annotations
@@ -45,22 +42,21 @@ from . import __version__
 from .errors import EmptyFeasibleError, InadmissibleError, InfeasibleError, StructurallyEmptyError
 from .exponents import GnsProblem, LebesgueExponent, Theta, theta, validate
 from .feasible import (
-    CLOSED_TOL,
     DEFAULT_SIGMA_WINDOW,
     SIGMA_OFFSET_MIN,
     FeasibilityReport,
     SigmaPoint,
     candidate_box,
-    derive_q,
+    decode_candidate,
     feasibility_margins,
     in_sigma,
+    margins_ok,
     sample_sigma,
     sigma_lower_bound,
 )
 from .parabolic import ParabolicParams, a_par
 
 PENALTY = 1e100
-ALT_FORM_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,6 @@ class BoundCertificate:
     starts: int
     seed: int
     relabeled: bool
-    alt_form_agrees: bool
     sigma_window: float
 
 
@@ -124,13 +119,15 @@ def _log_objective_parts(
     return log_small, log_large, a, b
 
 
-def _require_feasible(problem: GnsProblem, point: SigmaPoint) -> GnsProblem:
+def _feasible_frame(problem: GnsProblem, point: SigmaPoint) -> tuple[GnsProblem, float]:
+    """(oriented problem, its theta) for a candidate that must be feasible."""
     report = in_sigma(problem, point)
     if not report.ok:
         raise InfeasibleError(
             f"candidate outside the feasible set; worst margin {report.min_margin!r}"
         )
-    return problem.oriented()[0]
+    oriented = problem.oriented()[0]
+    return oriented, theta(oriented).value
 
 
 def _log_objective(oriented: GnsProblem, theta_value: float, point: SigmaPoint) -> float:
@@ -143,21 +140,7 @@ def _log_objective(oriented: GnsProblem, theta_value: float, point: SigmaPoint) 
 
 def objective(problem: GnsProblem, point: SigmaPoint) -> float:
     """Bound value at a feasible candidate (equalized two-term form)."""
-    oriented = _require_feasible(problem, point)
-    return math.exp(_log_objective(oriented, theta(oriented).value, point))
-
-
-def objective_alt_form(problem: GnsProblem, point: SigmaPoint) -> float:
-    """Alternative closed-form packaging with the factor exponents exchanged."""
-    oriented = _require_feasible(problem, point)
-    theta_value = theta(oriented).value
-    log_small, log_large, a, b = _log_objective_parts(oriented, theta_value, point)
-    log_p = log_small - math.log(a)
-    log_q = log_large - math.log(b)
-    w = a / (a + b)
-    return math.exp(
-        math.log(2.0) - math.lgamma(point.sigma) + w * log_p + (1.0 - w) * log_q
-    )
+    return math.exp(_log_objective(*_feasible_frame(problem, point), point))
 
 
 def _oriented_norms(
@@ -177,10 +160,8 @@ def equalizing_t0(
     """
     if norm1 <= 0.0 or norm2 <= 0.0:
         raise InfeasibleError("norms must be positive")
-    oriented = _require_feasible(problem, point)
-    theta_value = theta(oriented).value
+    log_small, log_large, a, b = _log_objective_parts(*_feasible_frame(problem, point), point)
     n1, n2 = _oriented_norms(problem, norm1, norm2)
-    log_small, log_large, a, b = _log_objective_parts(oriented, theta_value, point)
     log_t0 = (
         (point.beta1 - point.beta2) * (math.log(n1) - math.log(n2))
         + math.log(a)
@@ -201,10 +182,8 @@ def two_term_bound(
     """The split bound at an arbitrary pivot t0 > 0 (valid for every t0)."""
     if t0 <= 0.0:
         raise InfeasibleError("pivot time must be positive")
-    oriented = _require_feasible(problem, point)
-    theta_value = theta(oriented).value
+    log_small, log_large, a, b = _log_objective_parts(*_feasible_frame(problem, point), point)
     n1, n2 = _oriented_norms(problem, norm1, norm2)
-    log_small, log_large, a, b = _log_objective_parts(oriented, theta_value, point)
     log_n1, log_n2 = math.log(n1), math.log(n2)
     term_small = math.exp(
         log_small
@@ -246,23 +225,14 @@ def _point_from_z(
     oriented: GnsProblem, theta_value: float, lb: float, z: np.ndarray
 ) -> SigmaPoint | None:
     """Decode a transformed coordinate vector; None if no candidate exists."""
-    b1 = theta_value + (1.0 - theta_value) * float(expit(z[0]))
-    b2 = theta_value * float(expit(z[1]))
-    sigma = lb + SIGMA_OFFSET_MIN + _softplus(float(z[2]))
-    box1, box2 = candidate_box(oriented, sigma, b1, b2)
-    xs = []
-    for box, zi in ((box1, z[3]), (box2, z[4])):
-        lo, hi = box
-        if hi < lo:
-            return None
-        xs.append(lo if hi == lo else lo + (hi - lo) * float(expit(zi)))
-    r1 = LebesgueExponent(min(1.0, xs[0] / b1))
-    r2 = LebesgueExponent(min(1.0, xs[1] / (1.0 - b2)))
-    try:
-        q1, q2 = derive_q(oriented, b1, b2, r1, r2)
-    except Exception:
-        return None
-    return SigmaPoint(b1, b2, r1, r2, q1, q2, sigma)
+    return decode_candidate(
+        oriented,
+        theta_value + (1.0 - theta_value) * float(expit(z[0])),
+        theta_value * float(expit(z[1])),
+        lb + SIGMA_OFFSET_MIN + _softplus(float(z[2])),
+        float(expit(z[3])),
+        float(expit(z[4])),
+    )
 
 
 def _z_from_point(
@@ -288,10 +258,8 @@ def _penalized_log_objective(
         point = _point_from_z(oriented, theta_value, lb, z)
         if point is None:
             return PENALTY
-        margins, closed = feasibility_margins(oriented, theta_value, point)
-        for name, value in margins.items():
-            if value <= (-CLOSED_TOL if name in closed else 0.0):
-                return PENALTY
+        if not margins_ok(*feasibility_margins(oriented, theta_value, point), 0.0):
+            return PENALTY
         try:
             return _log_objective(oriented, theta_value, point)
         except Exception:
@@ -443,7 +411,6 @@ def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> Boun
     assert best_point is not None
 
     value = objective(problem, best_point)
-    alt_value = objective_alt_form(problem, best_point)
     margins = in_sigma(problem, best_point)
     assert margins.ok
     assert best_val <= min_sampled + 1e-12
@@ -457,7 +424,6 @@ def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> Boun
         starts=config.starts,
         seed=config.seed,
         relabeled=swapped,
-        alt_form_agrees=abs(alt_value - value) <= ALT_FORM_RTOL * value,
         sigma_window=window,
     )
 
@@ -493,7 +459,6 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
         "starts": cert.starts,
         "seed": cert.seed,
         "relabeled": cert.relabeled,
-        "alt_form_agrees": cert.alt_form_agrees,
         "sigma_window": cert.sigma_window,
         "objective_form": "equalized-two-term",
         "closed_margins": ",".join(sorted(cert.margins.closed)),
@@ -504,6 +469,8 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
 
 
 def certificate_from_dict(doc: Mapping) -> BoundCertificate:
+    """Inverse of :func:`certificate_to_dict`; keys it does not read, such as
+    those only older format versions wrote, are ignored."""
     problem = GnsProblem(
         d=int(doc["d"]),
         s=float(doc["s"]),
@@ -542,7 +509,6 @@ def certificate_from_dict(doc: Mapping) -> BoundCertificate:
         starts=int(doc["starts"]),
         seed=int(doc["seed"]),
         relabeled=bool(doc["relabeled"]),
-        alt_form_agrees=bool(doc["alt_form_agrees"]),
         sigma_window=float(doc["sigma_window"]),
     )
 

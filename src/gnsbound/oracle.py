@@ -225,15 +225,18 @@ class _RadialProfile:
             total += gamma_m * eps ** (s + d + 2 * m) / (s + d + 2 * m)
         return self.cf * total
 
-    def at_cached_nodes(self, r: np.ndarray, node_kind: str) -> np.ndarray:
-        """Profile on a node set that is a pure function of (d, b, level)."""
-        key = (self.d, self.b, self.r_max, self.scale, self.order, node_kind)
-        kernel = _kernel_matrix(self.d, r, self.rho, key)
-        return _KERNEL_PREFACTOR[self.d] * (kernel @ self.weights + self._stub(r))
+    def __call__(self, r: np.ndarray, node_kind: str | None = None) -> np.ndarray:
+        """Profile at the radii r.
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
+        ``node_kind`` names a node set that is a pure function of (d, b,
+        level); its kernel matrix is then cached and reused.
+        """
         r = np.asarray(r, dtype=float)
-        kernel = _kernel_values(self.d, np.outer(r, self.rho))
+        if node_kind is None:
+            kernel = _kernel_values(self.d, np.outer(r, self.rho))
+        else:
+            key = (self.d, self.b, self.r_max, self.scale, self.order, node_kind)
+            kernel = _kernel_matrix(self.d, r, self.rho, key)
         return _KERNEL_PREFACTOR[self.d] * (kernel @ self.weights + self._stub(r))
 
 
@@ -333,7 +336,7 @@ def _profile_zeros(profile: _RadialProfile, r_split: float) -> list[float]:
     edges instead.
     """
     scout = np.linspace(0.0, r_split, _SCOUT_GRID)
-    values = profile.at_cached_nodes(scout, "scout")
+    values = profile(scout, "scout")
     zeros: list[float] = []
     sign_change = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
     for i in sign_change:
@@ -356,14 +359,13 @@ def _norm_at_level(
     scale, order, inf_grid = _LEVELS[level]
     d = f.d
     b = t + 0.25 / f.width
-    cf = (math.pi / f.width) ** (0.5 * d)
     r_split = _SPLIT_FACTOR * math.sqrt(b)
     profile = _RadialProfile(f, s, t, r_split, scale=scale, order=order)
-    coeffs = _tail_coefficients(cf, s, d, b)
+    coeffs = _tail_coefficients(profile.cf, s, d, b)
 
     if p.recip == 0.0:
         grid = np.linspace(0.0, r_split, inf_grid)
-        values = np.abs(profile.at_cached_nodes(grid, "sup"))
+        values = np.abs(profile(grid, "sup"))
         idx = int(values.argmax())
         lo = grid[max(idx - 1, 0)]
         hi = grid[min(idx + 1, len(grid) - 1)]
@@ -382,7 +384,7 @@ def _norm_at_level(
     if p_even or s == 0.0:
         # |h|^p is smooth (even power, or a positive profile): cached nodes
         nodes, weights = _panel_rule(edges, order)
-        h = profile.at_cached_nodes(nodes, "lp")
+        h = profile(nodes, "lp")
     else:
         zeros = _profile_zeros(profile, r_split)
         if zeros:

@@ -131,20 +131,20 @@ def smoothing_gap(params: ParabolicParams) -> float:
     return params.gap
 
 
-def _log_kernel_factor(params: ParabolicParams) -> tuple[float, LebesgueExponent]:
-    """log of A_Y(p,q,r,d) * (4pi)^(-D) * q^(-d/(2q)), and the partner q."""
+def _log_kernel_factor(params: ParabolicParams) -> float:
+    """log of A_Y(p,q,r,d) * (4pi)^(-D) * q^(-d/(2q)), q the Young partner."""
     q = young_partner(params.p, params.r)
     log_val = math.log(young_constant(params.p, q, params.r, params.d))
     log_val -= params.gap * LOG_4PI
     log_val -= 0.5 * params.d * _neg_xlogx(q.recip)
     # q^(-d/2q): log is (d/2) u log u = -(d/2) * neg_xlogx(u)
-    return log_val, q
+    return log_val
 
 
 def _even_order_log(params: ParabolicParams) -> float:
     """log a_par for s in 2*N0 (regimes (a) and (b), which coincide at D = 0)."""
     s, d = params.s, params.d
-    log_val, _ = _log_kernel_factor(params)
+    log_val = _log_kernel_factor(params)
     log_val += math.lgamma(0.5 * (d + s)) - math.lgamma(0.5 * d) + 0.5 * s * math.log(2.0)
     log_val += math.log(min_product_power(0.5 * s, params.gap))
     return log_val
@@ -153,9 +153,8 @@ def _even_order_log(params: ParabolicParams) -> float:
 def _log_a_par(params: ParabolicParams) -> float:
     s = params.s
     if s < 0.0:
-        log_val, _ = _log_kernel_factor(params)
         gap = params.gap
-        return log_val + math.lgamma(gap + 0.5 * s) - math.lgamma(gap)
+        return _log_kernel_factor(params) + math.lgamma(gap + 0.5 * s) - math.lgamma(gap)
     half = 0.5 * s
     if half == math.floor(half):
         return _even_order_log(params)
@@ -169,36 +168,13 @@ def _log_a_par(params: ParabolicParams) -> float:
     )
 
 
-def a_par(params: ParabolicParams, *, compact: bool = False) -> float:
+def a_par(params: ParabolicParams) -> float:
     """Time-free smoothing constant across the four regimes.
 
-    ``compact=True`` evaluates the alternative algebraic packaging of the
-    even-order branch for comparison purposes only; it differs from the
-    proof-backed form by the factor (2*D**2/d)**D and in particular does not
-    reduce to the bare heat-kernel norm constant at s = 0.  The default form
-    does, and is the one used throughout the package.
+    At s = 0 it reduces to the heat-kernel norm constant of the convolution
+    bound; every bound in the package is built from this form.
     """
-    if compact:
-        return _a_par_compact(params)
     return math.exp(_log_a_par(params))
-
-
-def _a_par_compact(params: ParabolicParams) -> float:
-    s, d = params.s, params.d
-    if s < 0.0 or 0.5 * s != math.floor(0.5 * s):
-        raise DomainError("compact form is defined for even nonnegative orders only")
-    if params.r.recip == params.p.recip:
-        return math.exp(
-            math.lgamma(0.5 * (d + s)) - math.lgamma(0.5 * d) + 0.5 * s * math.log(2.0)
-        )
-    log_val, q = _log_kernel_factor(params)
-    log_val -= 0.5 * d * _neg_xlogx(1.0 - q.recip)  # extra (q')^(-d/2q') factor
-    gap = params.gap
-    log_val += math.lgamma(0.5 * (d + s)) - math.lgamma(0.5 * d) + s * math.log(2.0)
-    if s > 0.0:
-        log_val -= 0.5 * s * math.log(s)
-    log_val += (0.5 * s + gap) * math.log(0.5 * s + gap) if (0.5 * s + gap) > 0.0 else 0.0
-    return math.exp(log_val)
 
 
 def bound_at_time(params: ParabolicParams, t: float) -> float:

@@ -77,6 +77,13 @@ class TestDeriveQ:
         with pytest.raises(OutOfRangeError):
             derive_q(agmon_problem, 0.75, 0.25, INF, LebesgueExponent(0.4))
 
+    def test_unsolvable_at_beta_endpoints(self, agmon_problem):
+        # beta1 = 1 and beta2 = 0 leave a convexity condition without a
+        # solution for its q
+        for beta1, beta2 in ((1.0, 0.25), (0.75, 0.0)):
+            with pytest.raises(OutOfRangeError):
+                derive_q(agmon_problem, beta1, beta2, INF, INF)
+
 
 class TestInSigma:
     def test_sampled_points_pass(self, agmon_problem, fractional_problem):

@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gnsbound.errors import InadmissibleError, InfeasibleError
 from gnsbound.exponents import GnsProblem, LebesgueExponent, theta
-from gnsbound.feasible import SigmaPoint, sample_sigma
+from gnsbound.feasible import SigmaPoint, sample_sigma, sigma_lower_bound
 from gnsbound.optimizer import (
     OptimizerConfig,
     certificate_from_dict,
@@ -14,7 +15,6 @@ from gnsbound.optimizer import (
     equalizing_t0,
     minimize,
     objective,
-    objective_alt_form,
     two_term_bound,
 )
 
@@ -121,29 +121,29 @@ class TestTwoTermCrossCheck:
         else:
             assert t0_scaled == pytest.approx(t0 * 3.0**exponent, rel=1e-12)
 
-    def test_alt_form_exponent_exchange(self, fractional_problem):
-        # the two packagings agree exactly when the factor bases coincide,
-        # and differ otherwise; both are computed from the same parts
-        point = sample_sigma(fractional_problem, 1, seed=2)[0]
-        ours = objective(fractional_problem, point)
-        alt_value = objective_alt_form(fractional_problem, point)
-        assert ours > 0 and alt_value > 0
-
-        from gnsbound.optimizer import _log_objective_parts
-
-        oriented, _ = fractional_problem.oriented()
-        th = theta(oriented).value
-        log_small, log_large, a, b = _log_objective_parts(oriented, th, point)
-        log_p = log_small - math.log(a)
-        log_q = log_large - math.log(b)
-        w = a / (a + b)
-        # ratio of the packagings is (P/Q)^(1-2w)
-        assert alt_value / ours == pytest.approx(
-            math.exp((2.0 * w - 1.0) * (log_p - log_q)), rel=1e-10
-        )
-
 
 class TestMinimize:
+    def test_reference_values_unchanged(self, agmon_problem, fractional_problem):
+        # certificate values at FAST from version 0.1.0; a change that keeps
+        # the bound must reproduce them
+        expected = [
+            (agmon_problem, 3.2045178772778646),
+            (fractional_problem, 2.3588270403519895),
+            (GnsProblem(3, 1.0, 2.0, 0.0, TWO, TWO, TWO), 30.27773984554294),
+        ]
+        for problem, value in expected:
+            assert minimize(problem, FAST).value == pytest.approx(value, rel=1e-12)
+
+    def test_saturated_logistic_decodes_to_none(self, agmon_problem):
+        # expit(40) rounds to 1.0, so beta1 = 1 and the convexity condition
+        # for q1 cannot be solved
+        from gnsbound.optimizer import _point_from_z
+
+        oriented, _ = agmon_problem.oriented()
+        th = theta(oriented).value
+        z = np.array([40.0, 0.0, 0.0, 0.0, 0.0])
+        assert _point_from_z(oriented, th, sigma_lower_bound(oriented), z) is None
+
     def test_agmon_certificate(self, agmon_problem):
         cert = minimize(agmon_problem, FAST)
         assert cert.margins.ok
@@ -228,8 +228,10 @@ class TestSerialization:
     def test_round_trip(self, agmon_problem):
         cert = minimize(agmon_problem, FAST)
         doc = json.loads(certificate_json(cert))
-        restored = certificate_from_dict(doc)
-        assert restored == cert
+        # a version 0.1.0 file also carried the alt_form_agrees flag
+        old_doc = {**doc, "artifact_version": "0.1.0", "alt_form_agrees": True}
+        for stored in (doc, old_doc):
+            assert certificate_from_dict(stored) == cert
 
     def test_flat_keys_and_decimal_strings(self, agmon_problem):
         cert = minimize(agmon_problem, FAST)

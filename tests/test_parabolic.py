@@ -130,14 +130,6 @@ class TestAParRegimes:
                 )
                 assert got == pytest.approx(want, rel=1e-14)
 
-    def test_compact_form_differs_by_documented_factor(self):
-        params = ParabolicParams(TWO, ONE, 2.0, 2)
-        gap = smoothing_gap(params)
-        factor = (2.0 * gap * gap / params.d) ** gap
-        assert a_par(params, compact=True) == pytest.approx(
-            a_par(params) * factor, rel=1e-12
-        )
-
     @staticmethod
     def _halfline_power_integral(a: float, b: float) -> float:
         """int_0^inf tau^-a (1+tau)^-b dtau, split at 1 with tau -> 1/tau."""
