@@ -33,7 +33,6 @@ from .exponents import (
     Theta,
     ValidationReport,
     brezis_mironescu_exception,
-    conjugate,
     known_failure_case,
     theta,
     validate,
@@ -44,7 +43,6 @@ from .parabolic import (
     a_par,
     bound_at_time,
     heat_kernel_norm,
-    smoothing_gap,
     young_constant,
 )
 from .feasible import (
@@ -101,7 +99,6 @@ __all__ = [
     "Theta",
     "ValidationReport",
     "brezis_mironescu_exception",
-    "conjugate",
     "known_failure_case",
     "theta",
     "validate",
@@ -110,7 +107,6 @@ __all__ = [
     "a_par",
     "bound_at_time",
     "heat_kernel_norm",
-    "smoothing_gap",
     "young_constant",
     "FeasibilityReport",
     "SigmaPoint",

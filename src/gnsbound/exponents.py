@@ -82,15 +82,11 @@ class LebesgueExponent:
         return self.recip == 0.0
 
     def conjugate(self) -> "LebesgueExponent":
+        """Dual exponent: 1/u + 1/u' = 1.  Involutive exactly in floats."""
         return LebesgueExponent(1.0 - self.recip)
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else f"{self.value:g}"
-
-
-def conjugate(u: LebesgueExponent) -> LebesgueExponent:
-    """Dual exponent: 1/u + 1/u' = 1.  Involutive exactly in floats."""
-    return u.conjugate()
 
 
 def young_partner(p: LebesgueExponent, r: LebesgueExponent) -> LebesgueExponent:

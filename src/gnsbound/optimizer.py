@@ -57,6 +57,8 @@ from .feasible import (
 from .parabolic import ParabolicParams, a_par
 
 PENALTY = 1e100
+# A loaded certificate's stored value must match the recomputed bound to this.
+CERT_VALUE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -469,8 +471,15 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
 
 
 def certificate_from_dict(doc: Mapping) -> BoundCertificate:
-    """Inverse of :func:`certificate_to_dict`; keys it does not read, such as
-    those only older format versions wrote, are ignored."""
+    """Inverse of :func:`certificate_to_dict`, re-verified from the witness.
+
+    Only the problem, the point and the search record are read.  Theta, the
+    relabeling flag and the margins are recomputed, and the value is the
+    objective at the point; :class:`InfeasibleError` is raised when the
+    point is infeasible or the stored value differs from the recomputed one
+    by more than ``CERT_VALUE_RTOL``.  Keys it does not read, such as those
+    only older format versions wrote, are ignored.
+    """
     problem = GnsProblem(
         d=int(doc["d"]),
         s=float(doc["s"]),
@@ -489,26 +498,22 @@ def certificate_from_dict(doc: Mapping) -> BoundCertificate:
         q2=LebesgueExponent(float(doc["q2_recip"])),
         sigma=float(doc["sigma"]),
     )
-    margins = {
-        key[len("margin_"):]: float(value)
-        for key, value in doc.items()
-        if key.startswith("margin_")
-    }
-    closed = frozenset(
-        name for name in str(doc.get("closed_margins", "")).split(",") if name
-    )
+    value = objective(problem, point)
+    stored = float(doc["value"])
+    if not abs(stored - value) <= CERT_VALUE_RTOL * value:
+        raise InfeasibleError(
+            f"stored value {stored!r} is not the bound {value!r} at the witness"
+        )
     return BoundCertificate(
         problem=problem,
         point=point,
-        value=float(doc["value"]),
-        theta=Theta(float(doc["theta"])),
-        margins=FeasibilityReport(
-            ok=bool(doc["margins_ok"]), margins=margins, closed=closed
-        ),
+        value=value,
+        theta=theta(problem),
+        margins=in_sigma(problem, point),
         sample_count=int(doc["sample_count"]),
         starts=int(doc["starts"]),
         seed=int(doc["seed"]),
-        relabeled=bool(doc["relabeled"]),
+        relabeled=problem.oriented()[1],
         sigma_window=float(doc["sigma_window"]),
     )
 

@@ -18,7 +18,8 @@ Quadrature is composite Gauss-Legendre on panels graded geometrically toward
 rho = 0 (the profile has an integrable algebraic singularity there for
 non-integer s) and capped in width so the oscillatory kernel is resolved; a
 small leading stub (0, eps) is integrated analytically from the joint power
-series of the Gaussian factor and the kernel.
+series of the Gaussian factor and the kernel, a polynomial in r^2 built once
+per profile.
 
 For s/2 not a nonnegative integer, h decays only algebraically.  The far
 field is summed from the asymptotic expansion generated by the frequency
@@ -44,6 +45,7 @@ state) and rely on the interpreter's global lock for safe concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -110,13 +112,9 @@ def gaussian_lp_norm(width: float, d: int, p: LebesgueExponent) -> float:
 # Quadrature rules
 # ---------------------------------------------------------------------------
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _LEGGAUSS_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,23 +152,20 @@ def _kernel_values(d: int, z: np.ndarray) -> np.ndarray:
 # Norm evaluations recur over the same (d, b) with different orders s and
 # output exponents p; the frequency rules and the dense kernel matrices
 # depend only on (d, b, level, node kind), so both are cached.  The kernel
-# cache is bounded: entries are large and locality follows (d, b).
-_RULE_CACHE: dict[tuple, tuple[float, np.ndarray, np.ndarray]] = {}
+# cache is a dict keyed by the caller, not an lru_cache, because the radii
+# array it is built from is not hashable.  It is bounded: entries are large
+# and locality follows (d, b).
 _KERNEL_MATRIX_CACHE: dict[tuple, np.ndarray] = {}
 _KERNEL_CACHE_MAX = 8
 
 
+@functools.lru_cache(maxsize=64)
 def _freq_rule(
     b: float, r_max: float, scale: float, order: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    key = (b, r_max, scale, order)
-    if key not in _RULE_CACHE:
-        eps, edges = _freq_edges(b, r_max, scale)
-        rho, w = _panel_rule(edges, order)
-        _RULE_CACHE[key] = (eps, rho, w)
-        if len(_RULE_CACHE) > 64:
-            _RULE_CACHE.pop(next(iter(_RULE_CACHE)))
-    return _RULE_CACHE[key]
+    eps, edges = _freq_edges(b, r_max, scale)
+    rho, w = _panel_rule(edges, order)
+    return eps, rho, w
 
 
 def _kernel_matrix(d: int, r: np.ndarray, rho: np.ndarray, key: tuple) -> np.ndarray:
@@ -197,33 +192,24 @@ class _RadialProfile:
         self.d = f.d
         self.b = t + 0.25 / f.width
         self.cf = (math.pi / f.width) ** (0.5 * f.d)
-        self.s = s
         self.scale = scale
         self.order = order
         self.r_max = r_max
         eps, rho, w = _freq_rule(self.b, r_max, scale, order)
-        self.eps = eps
         self.rho = rho
         self.weights = (
             w * self.cf * rho ** (s + f.d - 1) * np.exp(-self.b * rho * rho)
         )
-
-    def _stub(self, r: np.ndarray) -> np.ndarray:
-        """Analytic integral over (0, eps) from the joint even power series."""
-        d, s, b, eps = self.d, self.s, self.b, self.eps
-        kernel = _KERNEL_SERIES[d]
-        exp_coeff = [(-b) ** i / math.factorial(i) for i in range(_STUB_TERMS + 1)]
-        r2 = r * r
-        r2_pow = [np.ones_like(r)]
-        for _ in range(_STUB_TERMS):
-            r2_pow.append(r2_pow[-1] * r2)
-        total = np.zeros_like(r)
-        for m in range(_STUB_TERMS + 1):
-            gamma_m = np.zeros_like(r)
-            for jj in range(m + 1):
-                gamma_m += kernel(jj) * r2_pow[jj] * exp_coeff[m - jj]
-            total += gamma_m * eps ** (s + d + 2 * m) / (s + d + 2 * m)
-        return self.cf * total
+        # The integral over (0, eps) from the joint even power series of the
+        # Gaussian factor and the kernel, as a polynomial in r^2: coefficient
+        # j is cf * k_j * sum_i (-b)^i/i! * eps^(s+d+2(i+j)) / (s+d+2(i+j)).
+        n = np.arange(_STUB_TERMS + 1)
+        exp_coeff = np.array([(-self.b) ** i / math.factorial(i) for i in n])
+        power = s + f.d + 2.0 * n
+        moments = eps**power / power
+        self.stub = self.cf * np.array(
+            [_KERNEL_SERIES[f.d](j) * (exp_coeff[: n.size - j] @ moments[j:]) for j in n]
+        )
 
     def __call__(self, r: np.ndarray, node_kind: str | None = None) -> np.ndarray:
         """Profile at the radii r.
@@ -237,7 +223,8 @@ class _RadialProfile:
         else:
             key = (self.d, self.b, self.r_max, self.scale, self.order, node_kind)
             kernel = _kernel_matrix(self.d, r, self.rho, key)
-        return _KERNEL_PREFACTOR[self.d] * (kernel @ self.weights + self._stub(r))
+        stub = np.polynomial.polynomial.polyval(r * r, self.stub)
+        return _KERNEL_PREFACTOR[self.d] * (kernel @ self.weights + stub)
 
 
 def _tail_coefficients(

@@ -127,10 +127,6 @@ class ParabolicParams:
         return 0.5 * self.d * (self.r.recip - self.p.recip)
 
 
-def smoothing_gap(params: ParabolicParams) -> float:
-    return params.gap
-
-
 def _log_kernel_factor(params: ParabolicParams) -> float:
     """log of A_Y(p,q,r,d) * (4pi)^(-D) * q^(-d/(2q)), q the Young partner."""
     q = young_partner(params.p, params.r)

@@ -168,20 +168,30 @@ class TestVerifyCommands:
         code, _, err = run(["verify", "gns", "--cert", str(bad)], capsys)
         assert code == 2
 
+    def test_verify_gns_tampered_witness_exit_2(self, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        run(["bound", *AGMON_FLAGS, *FAST, "--seed", "42", "--json-out", str(cert_path)], capsys)
+        doc = json.loads(cert_path.read_text())
+        doc.update(beta1=0.1, sigma=-5.0, value=1e9, margins_ok=True, theta=0.2)
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        code, out, err = run(["verify", "gns", "--cert", str(tampered)], capsys)
+        assert code == 2
+        assert "InfeasibleError" in err and "PASS" not in out
+
     def test_verify_gns_missing_file(self, tmp_path, capsys):
         code, _, _ = run(["verify", "gns", "--cert", str(tmp_path / "nope.json")], capsys)
         assert code == 2
 
-    def test_violation_exit_1(self, tmp_path, capsys):
-        # a certificate with an artificially lowered value must fail
+    def test_violation_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a valid certificate's value cannot be lowered without failing the
+        # load, so the measured ratio is raised above it instead
         cert_path = tmp_path / "cert.json"
         run(["bound", *AGMON_FLAGS, *FAST, "--seed", "42", "--json-out", str(cert_path)], capsys)
-        doc = json.loads(cert_path.read_text())
-        doc["value"] = 0.5  # below the measured Gaussian ratio
-        tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps(doc))
+        value = json.loads(cert_path.read_text())["value"]
+        monkeypatch.setattr("gnsbound.oracle.gns_ratio", lambda *args: 2.0 * value)
         code, _, err = run(
-            ["verify", "gns", "--cert", str(tampered), "--widths", "1", "--dilations", "0"],
+            ["verify", "gns", "--cert", str(cert_path), "--widths", "1", "--dilations", "0"],
             capsys,
         )
         assert code == 1

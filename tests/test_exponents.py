@@ -11,7 +11,6 @@ from gnsbound.exponents import (
     GnsProblem,
     LebesgueExponent,
     brezis_mironescu_exception,
-    conjugate,
     known_failure_case,
     theta,
     validate,
@@ -44,9 +43,9 @@ class TestLebesgueExponent:
             LebesgueExponent.parse("2/3")
 
     def test_conjugate_examples(self):
-        assert conjugate(TWO) == TWO
-        assert conjugate(ONE) == INF
-        assert conjugate(LebesgueExponent.parse("4/3")).value == pytest.approx(4.0)
+        assert TWO.conjugate() == TWO
+        assert ONE.conjugate() == INF
+        assert LebesgueExponent.parse("4/3").conjugate().value == pytest.approx(4.0)
 
     @given(st.integers(min_value=0, max_value=2**53))
     @settings(max_examples=200)
@@ -56,8 +55,8 @@ class TestLebesgueExponent:
         # 2^-53, so 1 - u is on that grid and complements twice without
         # rounding); finer bits in [0, 1/2) cannot survive any complement
         e = LebesgueExponent(n / 2.0**53)
-        assert conjugate(conjugate(e)) == e
-        assert conjugate(conjugate(conjugate(e))) == conjugate(e)
+        assert e.conjugate().conjugate() == e
+        assert e.conjugate().conjugate().conjugate() == e.conjugate()
 
 
 class TestYoungPartner:

@@ -233,6 +233,20 @@ class TestSerialization:
         for stored in (doc, old_doc):
             assert certificate_from_dict(stored) == cert
 
+    def test_stored_verdicts_are_not_trusted(self, agmon_problem):
+        doc = json.loads(certificate_json(minimize(agmon_problem, FAST)))
+        infeasible = {
+            **doc, "beta1": 0.1, "sigma": -5.0, "value": 1e9,
+            "margins_ok": True, "theta": 0.2,
+        }
+        with pytest.raises(InfeasibleError):
+            certificate_from_dict(infeasible)
+        with pytest.raises(InfeasibleError):
+            certificate_from_dict({**doc, "value": doc["value"] * (1.0 + 1e-8)})
+        # the stored theta, orientation and margins are recomputed, not read
+        edited = {**doc, "theta": 0.2, "relabeled": False, "margins_ok": False}
+        assert certificate_from_dict(edited) == certificate_from_dict(doc)
+
     def test_flat_keys_and_decimal_strings(self, agmon_problem):
         cert = minimize(agmon_problem, FAST)
         doc = certificate_to_dict(cert)

@@ -1,12 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
 from gnsbound.errors import AccuracyError, DomainError
 from gnsbound.exponents import GnsProblem, LebesgueExponent, theta
 from gnsbound.optimizer import OptimizerConfig, minimize
 from gnsbound.oracle import (
+    _KERNEL_PREFACTOR,
+    _KERNEL_SERIES,
+    _LEVELS,
+    _SPLIT_FACTOR,
+    _STUB_TERMS,
     RadialTestFunction,
+    _freq_rule,
+    _RadialProfile,
     check_gns,
     check_parabolic,
     convolution_ratio,
@@ -261,3 +269,38 @@ class TestAccuracyControl:
     def test_huge_exponent_no_overflow(self):
         value = fractional_heat_norm(RadialTestFunction(0.8, 1), 0.5, 0.2, LebesgueExponent(0.001))
         assert math.isfinite(value) and value > 0
+
+
+def _stub_double_loop(d, s, b, eps, cf, r):
+    """The stub series summed term by term, as the oracle once did per call."""
+    kernel = _KERNEL_SERIES[d]
+    exp_coeff = [(-b) ** i / math.factorial(i) for i in range(_STUB_TERMS + 1)]
+    r2 = r * r
+    r2_pow = [np.ones_like(r)]
+    for _ in range(_STUB_TERMS):
+        r2_pow.append(r2_pow[-1] * r2)
+    total = np.zeros_like(r)
+    for m in range(_STUB_TERMS + 1):
+        gamma_m = np.zeros_like(r)
+        for jj in range(m + 1):
+            gamma_m += kernel(jj) * r2_pow[jj] * exp_coeff[m - jj]
+        total += gamma_m * eps ** (s + d + 2 * m) / (s + d + 2 * m)
+    return cf * total
+
+
+class TestStubPolynomial:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [-0.25, 0.5, 2.0, 3.5])
+    @pytest.mark.parametrize("level", sorted(_LEVELS))
+    def test_matches_term_by_term_series(self, d, s, level):
+        f, t = RadialTestFunction(1.3, d), 0.1
+        scale, order, _ = _LEVELS[level]
+        b = t + 0.25 / f.width
+        r_split = _SPLIT_FACTOR * math.sqrt(b)
+        profile = _RadialProfile(f, s, t, r_split, scale=scale, order=order)
+        eps = _freq_rule(b, r_split, scale, order)[0]
+        r = np.linspace(0.0, r_split, 257)
+        want = _stub_double_loop(d, s, b, eps, profile.cf, r)
+        got = np.polynomial.polynomial.polyval(r * r, profile.stub)
+        peak = float(np.abs(profile(r)).max())
+        assert _KERNEL_PREFACTOR[d] * float(np.abs(got - want).max()) <= 1e-14 * peak

@@ -10,7 +10,6 @@ from gnsbound.parabolic import (
     a_par,
     bound_at_time,
     heat_kernel_norm,
-    smoothing_gap,
     young_constant,
 )
 
@@ -153,7 +152,7 @@ class TestAParRegimes:
         for s in (0.5, 1.0, 2.7, 3.5):
             for p, r, d in ((TWO, ONE, 1), (INF, TWO, 2), (TWO, TWO, 3)):
                 params = ParabolicParams(p, r, s, d)
-                gap = smoothing_gap(params)
+                gap = params.gap
                 frac = s / 2 - math.floor(s / 2)
                 even = a_par(ParabolicParams(p, r, 2.0 * math.floor(s / 2) + 2.0, d))
                 integral = self._halfline_power_integral(
@@ -168,7 +167,7 @@ class TestAParRegimes:
         # equals (1/Gamma(sigma)) * int tau^{sigma-1} (1+tau)^{-D} dtau
         for s in (-0.3, -0.5):
             params = ParabolicParams(INF, TWO, s, 2)
-            gap = smoothing_gap(params)
+            gap = params.gap
             zero_order = a_par(ParabolicParams(INF, TWO, 0.0, 2))
             sigma = -0.5 * s
             integral = self._halfline_power_integral(1.0 - sigma, gap)
@@ -187,7 +186,7 @@ class TestBoundAtTime:
 
     def test_time_power(self):
         params = ParabolicParams(TWO, ONE, 0.0, 1)
-        want = a_par(params) * 4.0 ** -smoothing_gap(params)
+        want = a_par(params) * 4.0 ** -params.gap
         assert bound_at_time(params, 4.0) == pytest.approx(want, rel=1e-14)
         assert bound_at_time(params, 4.0) == pytest.approx(
             0.44662 * 4.0**-0.25, abs=5e-6
