@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -47,23 +48,29 @@ EXIT_ACCURACY = 3
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("GNS_SEED", "0"))
+    text = os.environ.get("GNS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"GNS_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_widths(text: str) -> list[float]:
     widths = [float(part) for part in text.split(",") if part.strip()]
-    if not widths or any(w <= 0 for w in widths):
-        raise ValueError(f"widths must be positive, got {text!r}")
+    if not widths or not all(0.0 < w < math.inf for w in widths):
+        raise ValueError(f"widths must be positive and finite, got {text!r}")
     return widths
 
 
-def _manifest(command: str, args: argparse.Namespace, outputs: list[str]) -> str:
+def _manifest(
+    command: str, args: argparse.Namespace, outputs: list[str], seed: int | None = None
+) -> str:
     echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return json.dumps(
         {
             "command": command,
             "parameters": {k: str(v) for k, v in echo.items()},
-            "seed": getattr(args, "seed", None),
+            "seed": seed,
             "artifact_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "outputs": outputs,
@@ -141,11 +148,11 @@ def _problem_from_args(args: argparse.Namespace) -> GnsProblem:
 def _cmd_bound(args: argparse.Namespace) -> int:
     try:
         problem = _problem_from_args(args)
+        seed = args.seed if args.seed is not None else _default_seed()
+        config = OptimizerConfig(starts=args.starts, sample_per_start=args.samples, seed=seed)
     except (OutOfRangeError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    seed = args.seed if args.seed is not None else _default_seed()
-    config = OptimizerConfig(starts=args.starts, sample_per_start=args.samples, seed=seed)
     cert = minimize(problem, config)
     outputs = []
     if args.json_out:
@@ -154,12 +161,16 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         outputs.append(args.json_out)
     print(f"value = {cert.value!r}")
     print(f"theta = {cert.theta.value!r}")
-    print(_manifest("bound", args, outputs))
+    print(_manifest("bound", args, outputs, seed))
     return EXIT_OK
 
 
 def _cmd_parabolic(args: argparse.Namespace) -> int:
     try:
+        if not math.isfinite(args.s):
+            raise ValueError(f"--s must be finite, got {args.s!r}")
+        if args.t is not None and not (0.0 < args.t < math.inf):
+            raise ValueError(f"--t must be positive and finite, got {args.t!r}")
         params = ParabolicParams(
             p=LebesgueExponent.parse(args.p),
             r=LebesgueExponent.parse(args.r),
@@ -174,9 +185,6 @@ def _cmd_parabolic(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
     print(f"a_par = {a_par(params)!r}")
     if args.t is not None:
-        if args.t <= 0:
-            print("bad input: --t must be positive", file=sys.stderr)
-            return EXIT_BAD_INPUT
         print(f"bound_at_time = {bound_at_time(params, args.t)!r}")
     return EXIT_OK
 
@@ -220,8 +228,9 @@ def _cmd_verify_gns(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, TypeError, GnsboundError) as exc:
         print(f"bad certificate or input: {exc!r}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.dilations < 0:
-        print("bad input: --dilations must be nonnegative", file=sys.stderr)
+    if not 0 <= args.dilations < 1024:
+        # 2.0**k overflows from k = 1024 on
+        print("bad input: --dilations must be in 0..1023", file=sys.stderr)
         return EXIT_BAD_INPUT
     dilations = [2.0**k for k in range(-args.dilations, args.dilations + 1)]
     report = check_gns(cert, widths, dilations)

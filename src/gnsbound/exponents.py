@@ -50,9 +50,9 @@ class LebesgueExponent:
     @classmethod
     def from_value(cls, value: float) -> "LebesgueExponent":
         """Build from the exponent itself; ``math.inf`` maps to recip 0."""
-        if math.isinf(value):
+        if value == math.inf:
             return cls(0.0)
-        if value < 1.0:
+        if not (value >= 1.0):
             raise OutOfRangeError(f"exponent {value!r} outside [1, inf]")
         return cls(1.0 / value)
 
@@ -67,7 +67,10 @@ class LebesgueExponent:
         if text in ("inf", "infinity", "oo"):
             return cls(0.0)
         if "/" in text:
-            frac = Fraction(text)
+            try:
+                frac = Fraction(text)
+            except ZeroDivisionError:
+                raise OutOfRangeError(f"exponent {text!r} has a zero denominator") from None
             if frac < 1:
                 raise OutOfRangeError(f"exponent {text!r} outside [1, inf]")
             return cls(float(Fraction(frac.denominator, frac.numerator)))

@@ -57,6 +57,10 @@ from .feasible import (
 from .parabolic import ParabolicParams, a_par
 
 PENALTY = 1e100
+# Simplex descent per start: iteration cap, and the spread of log values
+# across the simplex at which it stops.
+MAX_ITERS = 2000
+REL_TOL = 1e-9
 # A loaded certificate's stored value must match the recomputed bound to this.
 CERT_VALUE_RTOL = 1e-9
 
@@ -65,16 +69,16 @@ CERT_VALUE_RTOL = 1e-9
 class OptimizerConfig:
     starts: int = 32
     sample_per_start: int = 32
-    max_iters: int = 2000
-    rel_tol: float = 1e-9
     seed: int = 0
     sigma_window: float = DEFAULT_SIGMA_WINDOW
 
     def __post_init__(self) -> None:
-        if self.starts < 1 or self.sample_per_start < 1 or self.max_iters < 1:
+        if self.starts < 1 or self.sample_per_start < 1:
             raise ValueError("counts must be >= 1")
-        if self.rel_tol <= 0.0 or self.sigma_window <= 0.0:
-            raise ValueError("rel_tol and sigma_window must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        if self.sigma_window <= 0.0:
+            raise ValueError("sigma_window must be positive")
 
 
 @dataclass(frozen=True)
@@ -274,8 +278,6 @@ def _nelder_mead(
     fn: Callable[[np.ndarray], float],
     z0: np.ndarray,
     *,
-    max_iters: int,
-    rel_tol: float,
     step: float = 0.25,
 ) -> tuple[np.ndarray, float]:
     """Standard simplex descent; returns the best vertex ever visited."""
@@ -289,13 +291,13 @@ def _nelder_mead(
     best_z, best_f = min(zip(simplex, values), key=lambda t: t[1])
     best_z = best_z.copy()
 
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         order = sorted(range(n + 1), key=lambda i: values[i])
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         if values[0] < best_f:
             best_f, best_z = values[0], simplex[0].copy()
-        if values[-1] < PENALTY and values[-1] - values[0] < rel_tol:
+        if values[-1] < PENALTY and values[-1] - values[0] < REL_TOL:
             break
         centroid = np.mean(simplex[:-1], axis=0)
         reflected = centroid + (centroid - simplex[-1])
@@ -355,9 +357,7 @@ def _run_pass(
         start_val, start_pt = min(scored, key=lambda t: t[0])
         min_sampled = min(min_sampled, start_val)
         z0 = _z_from_point(oriented, theta_value, lb, start_pt)
-        z_best, f_best = _nelder_mead(
-            fn, z0, max_iters=config.max_iters, rel_tol=config.rel_tol
-        )
+        z_best, f_best = _nelder_mead(fn, z0)
         if f_best < min(best_val, start_val):
             candidate = _point_from_z(oriented, theta_value, lb, z_best)
             if candidate is not None:

@@ -65,6 +65,13 @@ class TestBoundCommand:
         assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_manifest_echoes_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("GNS_SEED", "7")
+        code, out, _ = run(["bound", *AGMON_FLAGS, *FAST], capsys)
+        assert code == 0
+        manifest = json.loads(out.strip().splitlines()[-1])
+        assert manifest["seed"] == 7
+
     def test_inadmissible_exit_2(self, capsys):
         code, _, err = run(
             ["bound", "--d", "1", "--s", "1", "--p", "2",
@@ -205,3 +212,44 @@ class TestArgumentErrors:
     def test_bad_widths(self, capsys):
         code, _, err = run(["verify", "parabolic", "--grid", "small", "--widths", "-1"], capsys)
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def agmon_cert_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "cert.json"
+    assert main(["bound", *AGMON_FLAGS, *FAST, "--seed", "42", "--json-out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed",
+    [
+        (["bound", *AGMON_FLAGS, "--starts", "0"], None),
+        (["bound", *AGMON_FLAGS, "--samples", "0"], None),
+        (["bound", *AGMON_FLAGS, *FAST, "--seed", "-1"], None),
+        (["bound", *AGMON_FLAGS, *FAST], "abc"),
+        (["bound", "--d", "1", "--s", "0", "--p", "1/0",
+          "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"], None),
+        (["bound", "--d", "1", "--s", "0", "--p=-inf",
+          "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"], None),
+        (["verify", "parabolic", "--grid", "small", "--widths", "inf"], None),
+        (["verify", "parabolic", "--grid", "small", "--widths", "nan"], None),
+        (["verify", "gns", "--cert", "CERT", "--widths", "1,inf"], None),
+        (["verify", "gns", "--cert", "CERT", "--dilations", "1100"], None),
+        (["parabolic", "--d", "1", "--s", "nan", "--r", "2", "--p", "2"], None),
+        (["parabolic", "--d", "1", "--s", "0", "--r", "2", "--p", "2", "--t", "inf"], None),
+    ],
+    ids=[
+        "starts-0", "samples-0", "seed-negative", "env-seed-abc", "p-1-over-0",
+        "p-minus-inf", "parabolic-widths-inf", "parabolic-widths-nan",
+        "gns-widths-inf", "gns-dilations-1100", "parabolic-s-nan", "parabolic-t-inf",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv, env_seed, agmon_cert_path, capsys, monkeypatch):
+    if env_seed is not None:
+        monkeypatch.setenv("GNS_SEED", env_seed)
+    argv = [agmon_cert_path if arg == "CERT" else arg for arg in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

@@ -41,6 +41,10 @@ class TestLebesgueExponent:
         assert LebesgueExponent.parse("2.5").recip == 0.4
         with pytest.raises(OutOfRangeError):
             LebesgueExponent.parse("2/3")
+        with pytest.raises(OutOfRangeError):
+            LebesgueExponent.parse("1/0")
+        with pytest.raises(OutOfRangeError):
+            LebesgueExponent.parse("-inf")
 
     def test_conjugate_examples(self):
         assert TWO.conjugate() == TWO

@@ -294,7 +294,7 @@ class TestStubPolynomial:
     @pytest.mark.parametrize("level", sorted(_LEVELS))
     def test_matches_term_by_term_series(self, d, s, level):
         f, t = RadialTestFunction(1.3, d), 0.1
-        scale, order, _ = _LEVELS[level]
+        scale, order = _LEVELS[level]
         b = t + 0.25 / f.width
         r_split = _SPLIT_FACTOR * math.sqrt(b)
         profile = _RadialProfile(f, s, t, r_split, scale=scale, order=order)
@@ -304,3 +304,26 @@ class TestStubPolynomial:
         got = np.polynomial.polynomial.polyval(r * r, profile.stub)
         peak = float(np.abs(profile(r)).max())
         assert _KERNEL_PREFACTOR[d] * float(np.abs(got - want).max()) <= 1e-14 * peak
+
+
+# Sizes of the dense radius grid the sup norm was once scanned on.
+_SUP_GRID = {"coarse": 1536, "fine": 4096}
+
+
+class TestSupNormAtOrigin:
+    """|h(r)| <= h(0): ghat >= 0 and each reduced kernel is at most its value 1
+    at rho*r = 0, so the sup norm needs no search."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [-0.25, 0.5, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("level", sorted(_LEVELS))
+    def test_dense_scan_never_beats_origin(self, d, s, level):
+        scale, order = _LEVELS[level]
+        for t in (0.0, 0.1, 10.0):
+            for width in (0.5, 2.0):
+                f = RadialTestFunction(width, d)
+                r_split = _SPLIT_FACTOR * math.sqrt(t + 0.25 / width)
+                profile = _RadialProfile(f, s, t, r_split, scale=scale, order=order)
+                scan = np.abs(profile(np.linspace(0.0, r_split, _SUP_GRID[level])))
+                at_origin = abs(float(profile(np.zeros(1))[0]))
+                assert scan.max() <= at_origin * (1.0 + 1e-14), (t, width)
