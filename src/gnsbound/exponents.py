@@ -92,14 +92,20 @@ class LebesgueExponent:
         return "inf" if self.is_infinite else f"{self.value:g}"
 
 
-def young_partner(p: LebesgueExponent, r: LebesgueExponent) -> LebesgueExponent:
-    """The exponent q with 1/q + 1/r = 1 + 1/p, governing convolution bounds."""
-    recip_q = 1.0 + p.recip - r.recip
+def young_partner_recip(p_recip: float, r_recip: float) -> float:
+    """1/q for the exponent q with 1/q + 1/r = 1 + 1/p, on plain reciprocals."""
+    recip_q = 1.0 + p_recip - r_recip
     if recip_q < -RECIP_TOL or recip_q > 1.0 + RECIP_TOL:
         raise OutOfRangeError(
-            f"convolution partner of p={p}, r={r} would need 1/q = {recip_q!r}"
+            f"convolution partner of 1/p={p_recip!r}, 1/r={r_recip!r} "
+            f"would need 1/q = {recip_q!r}"
         )
-    return LebesgueExponent(min(1.0, max(0.0, recip_q)))
+    return min(1.0, max(0.0, recip_q))
+
+
+def young_partner(p: LebesgueExponent, r: LebesgueExponent) -> LebesgueExponent:
+    """The exponent q with 1/q + 1/r = 1 + 1/p, governing convolution bounds."""
+    return LebesgueExponent(young_partner_recip(p.recip, r.recip))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,9 @@ DEFAULT_MEMBERSHIP_MARGIN = 1e-9
 # The equality residuals among the membership margins.
 _EQUALITY_MARGINS = frozenset(("q1_consistency", "q2_consistency"))
 
+# A candidate as plain floats: (beta1, beta2, 1/r1, 1/r2, 1/q1, 1/q2, sigma).
+Coords = tuple[float, float, float, float, float, float, float]
+
 
 @dataclass(frozen=True)
 class SigmaPoint:
@@ -71,6 +74,17 @@ class SigmaPoint:
     q1: LebesgueExponent
     q2: LebesgueExponent
     sigma: float
+
+    @classmethod
+    def from_coords(cls, coords: Coords) -> "SigmaPoint":
+        beta1, beta2, *recips, sigma = coords
+        return cls(beta1, beta2, *map(LebesgueExponent, recips), sigma)
+
+    @property
+    def coords(self) -> Coords:
+        """The candidate as plain floats, exponents as reciprocals."""
+        exps = (self.r1, self.r2, self.q1, self.q2)
+        return (self.beta1, self.beta2, *(e.recip for e in exps), self.sigma)
 
 
 @dataclass(frozen=True)
@@ -96,11 +110,12 @@ class FeasibilityReport:
         return min(self.margins.values())
 
 
-def _shifted_upper(problem: GnsProblem, sigma: float, j: int) -> float:
-    """Y_j = 1/p_j - (s_j - s - 2*sigma)/d, the interval scale factors."""
-    pj = problem.p1 if j == 1 else problem.p2
-    sj = problem.s1 if j == 1 else problem.s2
-    return pj.recip - (sj - problem.s - 2.0 * sigma) / problem.d
+def _shifted_uppers(problem: GnsProblem, sigma: float) -> tuple[float, float]:
+    """(Y1, Y2), Y_j = 1/p_j - (s_j - s - 2*sigma)/d, the interval scale factors."""
+    return (
+        problem.p1.recip - (problem.s1 - problem.s - 2.0 * sigma) / problem.d,
+        problem.p2.recip - (problem.s2 - problem.s - 2.0 * sigma) / problem.d,
+    )
 
 
 def sigma_lower_bound(problem: GnsProblem) -> float:
@@ -108,16 +123,16 @@ def sigma_lower_bound(problem: GnsProblem) -> float:
     return max(0.0, 0.5 * (problem.s2 - problem.s) - 0.5 * problem.d * problem.p2.recip)
 
 
-def _r1_bounds(problem: GnsProblem, sigma: float, beta1: float) -> tuple[float, float]:
-    lo = problem.p.recip - (1.0 - beta1) * _shifted_upper(problem, sigma, 2)
-    hi = beta1 * _shifted_upper(problem, sigma, 1)
-    return lo, hi
+def _r1_bounds(
+    p_recip: float, upper1: float, upper2: float, beta1: float
+) -> tuple[float, float]:
+    return p_recip - (1.0 - beta1) * upper2, beta1 * upper1
 
 
-def _r2_bounds(problem: GnsProblem, sigma: float, beta2: float) -> tuple[float, float]:
-    lo = problem.p.recip - beta2 * _shifted_upper(problem, sigma, 1)
-    hi = (1.0 - beta2) * _shifted_upper(problem, sigma, 2)
-    return lo, hi
+def _r2_bounds(
+    p_recip: float, upper1: float, upper2: float, beta2: float
+) -> tuple[float, float]:
+    return p_recip - beta2 * upper1, (1.0 - beta2) * upper2
 
 
 def r1_interval(problem: GnsProblem, sigma: float, beta1: float) -> tuple[float, float]:
@@ -127,13 +142,13 @@ def r1_interval(problem: GnsProblem, sigma: float, beta1: float) -> tuple[float,
     error.  The underlying open-interval endpoints are what the membership
     margins are measured against.
     """
-    lo, hi = _r1_bounds(problem, sigma, beta1)
+    lo, hi = _r1_bounds(problem.p.recip, *_shifted_uppers(problem, sigma), beta1)
     return max(lo, 0.0), min(hi, beta1)
 
 
 def r2_interval(problem: GnsProblem, sigma: float, beta2: float) -> tuple[float, float]:
     """Admissible range of (1-beta2)/r2, intersected with [0, 1-beta2]."""
-    lo, hi = _r2_bounds(problem, sigma, beta2)
+    lo, hi = _r2_bounds(problem.p.recip, *_shifted_uppers(problem, sigma), beta2)
     return max(lo, 0.0), min(hi, 1.0 - beta2)
 
 
@@ -151,46 +166,52 @@ def derive_q(
     leaves [0, 1] by more than the equality tolerance, or unless
     beta1 < 1 and beta2 > 0 so that both conditions can be solved.
     """
+    q1, q2 = _derive_q_recips(problem.p.recip, beta1, beta2, r1.recip, r2.recip)
+    return LebesgueExponent(q1), LebesgueExponent(q2)
+
+
+def _derive_q_recips(
+    p_recip: float, beta1: float, beta2: float, r1_recip: float, r2_recip: float
+) -> tuple[float, float]:
+    """:func:`derive_q` on plain reciprocals."""
     if not (beta1 < 1.0 and beta2 > 0.0):
         raise OutOfRangeError(f"need beta1 < 1 and beta2 > 0, got ({beta1!r}, {beta2!r})")
-    recip_q1 = (problem.p.recip - beta1 * r1.recip) / (1.0 - beta1)
-    recip_q2 = (problem.p.recip - (1.0 - beta2) * r2.recip) / beta2
-    out = []
+    recip_q1 = (p_recip - beta1 * r1_recip) / (1.0 - beta1)
+    recip_q2 = (p_recip - (1.0 - beta2) * r2_recip) / beta2
     for name, value in (("q1", recip_q1), ("q2", recip_q2)):
         if value < -EQUALITY_TOL or value > 1.0 + EQUALITY_TOL:
             raise OutOfRangeError(f"derived 1/{name} = {value!r} outside [0, 1]")
-        out.append(LebesgueExponent(min(1.0, max(0.0, value))))
-    return out[0], out[1]
+    return min(1.0, max(0.0, recip_q1)), min(1.0, max(0.0, recip_q2))
 
 
-def _pairing_margin(
-    out_exp: LebesgueExponent, in_exp: LebesgueExponent, order: float, d: int
-) -> float:
+def _pairing_margin(out_recip: float, in_recip: float, order: float, d: int) -> float:
     """Distance to the validity boundary of the smoothing constant.
 
     Nonnegative orders need input <= output (margin 1/in - 1/out); negative
     orders need -order < d*(1/in - 1/out) strictly.
     """
-    gap = in_exp.recip - out_exp.recip
+    gap = in_recip - out_recip
     if order >= 0.0:
         return gap
     return d * gap + order
 
 
 def feasibility_margins(
-    oriented: GnsProblem, theta_value: float, point: SigmaPoint
+    oriented: GnsProblem, theta_value: float, coords: Coords
 ) -> tuple[dict[str, float], frozenset[str]]:
-    """Membership margins and the names of the closed ones, oriented problem."""
+    """Membership margins and the names of the closed ones, oriented problem.
+
+    ``coords`` is a candidate as plain floats (see :attr:`SigmaPoint.coords`).
+    """
     p_recip = oriented.p.recip
-    b1, b2, sigma = point.beta1, point.beta2, point.sigma
-    x1 = b1 * point.r1.recip
-    x2 = (1.0 - b2) * point.r2.recip
-    y1 = (1.0 - b1) * point.q1.recip
-    y2 = b2 * point.q2.recip
-    lo1, hi1 = _r1_bounds(oriented, sigma, b1)
-    lo2, hi2 = _r2_bounds(oriented, sigma, b2)
-    upper1 = _shifted_upper(oriented, sigma, 1)
-    upper2 = _shifted_upper(oriented, sigma, 2)
+    b1, b2, r1, r2, q1, q2, sigma = coords
+    x1 = b1 * r1
+    x2 = (1.0 - b2) * r2
+    y1 = (1.0 - b1) * q1
+    y2 = b2 * q2
+    upper1, upper2 = _shifted_uppers(oriented, sigma)
+    lo1, hi1 = _r1_bounds(p_recip, upper1, upper2, b1)
+    lo2, hi2 = _r2_bounds(p_recip, upper1, upper2, b2)
     order1 = oriented.s + 2.0 * sigma - oriented.s1
     order2 = oriented.s + 2.0 * sigma - oriented.s2
 
@@ -210,10 +231,10 @@ def feasibility_margins(
         "q1_upper": (1.0 - b1) * upper2 - y1,
         "q2_lower": y2 - (p_recip - (1.0 - b2) * upper2),
         "q2_upper": b2 * upper1 - y2,
-        "pair_q2_p1": _pairing_margin(point.q2, oriented.p1, order1, oriented.d),
-        "pair_r2_p2": _pairing_margin(point.r2, oriented.p2, order2, oriented.d),
-        "pair_r1_p1": _pairing_margin(point.r1, oriented.p1, order1, oriented.d),
-        "pair_q1_p2": _pairing_margin(point.q1, oriented.p2, order2, oriented.d),
+        "pair_q2_p1": _pairing_margin(q2, oriented.p1.recip, order1, oriented.d),
+        "pair_r2_p2": _pairing_margin(r2, oriented.p2.recip, order2, oriented.d),
+        "pair_r1_p1": _pairing_margin(r1, oriented.p1.recip, order1, oriented.d),
+        "pair_q1_p2": _pairing_margin(q1, oriented.p2.recip, order2, oriented.d),
     }
     closed = set()
     if order1 >= 0.0:
@@ -261,7 +282,7 @@ def in_sigma(
             },
         )
     theta_value = theta(oriented).value
-    margins, closed = feasibility_margins(oriented, theta_value, point)
+    margins, closed = feasibility_margins(oriented, theta_value, point.coords)
     return FeasibilityReport(
         ok=margins_ok(margins, closed, margin), margins=margins, closed=closed
     )
@@ -287,12 +308,13 @@ def candidate_box(
     order2 = oriented.s + 2.0 * sigma - oriented.s2
     cap1 = oriented.p1.recip + min(order1, 0.0) / d
     cap2 = oriented.p2.recip + min(order2, 0.0) / d
-    lo1, hi1 = _r1_bounds(oriented, sigma, beta1)
+    upper1, upper2 = _shifted_uppers(oriented, sigma)
+    lo1, hi1 = _r1_bounds(p_recip, upper1, upper2, beta1)
     box1 = (
         max(lo1, 0.0, p_recip - (1.0 - beta1) * cap2),
         min(hi1, beta1, p_recip, beta1 * cap1),
     )
-    lo2, hi2 = _r2_bounds(oriented, sigma, beta2)
+    lo2, hi2 = _r2_bounds(p_recip, upper1, upper2, beta2)
     box2 = (
         max(lo2, 0.0, p_recip - beta2 * cap1),
         min(hi2, 1.0 - beta2, p_recip, (1.0 - beta2) * cap2),
@@ -302,24 +324,25 @@ def candidate_box(
 
 def decode_candidate(
     oriented: GnsProblem, beta1: float, beta2: float, sigma: float, u1: float, u2: float
-) -> SigmaPoint | None:
+) -> Coords | None:
     """The candidate at fractions (u1, u2) of the two draw boxes, or None.
 
+    The candidate comes as plain floats (see :attr:`SigmaPoint.coords`).
     None when either box is empty or the convexity conditions leave no valid
     (q1, q2); membership is not checked here.
     """
-    xs = []
-    for (lo, hi), u in zip(candidate_box(oriented, sigma, beta1, beta2), (u1, u2)):
-        if hi < lo:
-            return None
-        xs.append(lo if hi == lo else lo + u * (hi - lo))
-    r1 = LebesgueExponent(min(1.0, xs[0] / beta1))
-    r2 = LebesgueExponent(min(1.0, xs[1] / (1.0 - beta2)))
+    (lo1, hi1), (lo2, hi2) = candidate_box(oriented, sigma, beta1, beta2)
+    if hi1 < lo1 or hi2 < lo2:
+        return None
+    x1 = lo1 if hi1 == lo1 else lo1 + u1 * (hi1 - lo1)
+    x2 = lo2 if hi2 == lo2 else lo2 + u2 * (hi2 - lo2)
+    r1 = min(1.0, x1 / beta1)
+    r2 = min(1.0, x2 / (1.0 - beta2))
     try:
-        q1, q2 = derive_q(oriented, beta1, beta2, r1, r2)
+        q1, q2 = _derive_q_recips(oriented.p.recip, beta1, beta2, r1, r2)
     except OutOfRangeError:
         return None
-    return SigmaPoint(beta1, beta2, r1, r2, q1, q2, sigma)
+    return beta1, beta2, r1, r2, q1, q2, sigma
 
 
 def sample_sigma(
@@ -374,15 +397,18 @@ def sample_sigma(
     for _ in range(100 * n):
         if len(points) == n:
             break
-        draws = [float(u) for u in rng.uniform(size=5)]
+        draws = rng.uniform(size=5).tolist()
         if beta1_hi <= beta1_lo or beta2_hi <= beta2_lo:
             continue
         b1 = beta1_lo + draws[0] * (beta1_hi - beta1_lo)
         b2 = beta2_lo + draws[1] * (beta2_hi - beta2_lo)
         sigma = lb + math.exp(log_off_lo + draws[2] * (log_off_hi - log_off_lo))
-        point = decode_candidate(oriented, b1, b2, sigma, draws[3], draws[4])
-        if point is not None and in_sigma(problem, point, margin=margin).ok:
-            points.append(point)
+        # in_sigma's rule; the problem was checked admissible above
+        coords = decode_candidate(oriented, b1, b2, sigma, draws[3], draws[4])
+        if coords is not None and margins_ok(
+            *feasibility_margins(oriented, theta_value, coords), margin
+        ):
+            points.append(SigmaPoint.from_coords(coords))
 
     if not points:
         raise EmptyFeasibleError(

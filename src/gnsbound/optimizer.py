@@ -23,7 +23,10 @@ through logistic maps onto fractions of their draw boxes (re-derived at every
 evaluation).  :func:`~gnsbound.feasible.decode_candidate` turns those values
 into a candidate exactly as the sampler does.  Trial points failing the
 membership rule of :func:`~gnsbound.feasible.in_sigma` receive a large
-penalty.  Starts own generators seeded ``seed + start_index`` and results
+penalty.  Each evaluation works on the candidate's plain floats
+(:data:`~gnsbound.feasible.Coords`) and builds no dataclass; a
+:class:`~gnsbound.feasible.SigmaPoint` is built only for the sampled start
+points and for the best point of a pass.  Starts own generators seeded ``seed + start_index`` and results
 merge by start order, so the certificate is a deterministic function of
 (problem, config).
 """
@@ -39,11 +42,18 @@ import numpy as np
 from scipy.special import expit
 
 from . import __version__
-from .errors import EmptyFeasibleError, InadmissibleError, InfeasibleError, StructurallyEmptyError
+from .errors import (
+    EmptyFeasibleError,
+    GnsboundError,
+    InadmissibleError,
+    InfeasibleError,
+    StructurallyEmptyError,
+)
 from .exponents import GnsProblem, LebesgueExponent, Theta, theta, validate
 from .feasible import (
     DEFAULT_SIGMA_WINDOW,
     SIGMA_OFFSET_MIN,
+    Coords,
     FeasibilityReport,
     SigmaPoint,
     candidate_box,
@@ -54,7 +64,11 @@ from .feasible import (
     sample_sigma,
     sigma_lower_bound,
 )
-from .parabolic import ParabolicParams, a_par
+from .parabolic import _log_a_par
+
+# Not called here: the descent evaluates _log_a_par on plain reciprocals.  The
+# name stays importable from this module, where perfbench's tracer rebinds it.
+from .parabolic import a_par  # noqa: F401
 
 PENALTY = 1e100
 # Simplex descent per start: iteration cap, and the spread of log values
@@ -102,27 +116,35 @@ class BoundCertificate:
     sigma_window: float
 
 
+def _log_a(p_recip: float, r_recip: float, s: float, d: int) -> float:
+    """log of a_par, through exp and back: log(exp(x)) can differ from x in
+    its last bit, and certificate values are kept bit-identical to the
+    ``math.log(a_par(...))`` form."""
+    return math.log(math.exp(_log_a_par(p_recip, r_recip, s, d)))
+
+
+def _parts_at(
+    oriented: GnsProblem, theta_value: float, coords: Coords
+) -> tuple[float, float, float, float]:
+    """(log C_small, log C_large, a, b) at a candidate given as plain floats."""
+    beta1, beta2, r1, r2, q1, q2, sigma = coords
+    order1 = oriented.s + 2.0 * sigma - oriented.s1
+    order2 = oriented.s + 2.0 * sigma - oriented.s2
+    d = oriented.d
+    p1, p2 = oriented.p1.recip, oriented.p2.recip
+    log_small = beta2 * _log_a(q2, p1, order1, d) + (1.0 - beta2) * _log_a(r2, p2, order2, d)
+    log_large = beta1 * _log_a(r1, p1, order1, d) + (1.0 - beta1) * _log_a(q1, p2, order2, d)
+    half_dk = 0.5 * d * oriented.chain_gap()
+    a = (theta_value - beta2) * half_dk
+    b = (beta1 - theta_value) * half_dk
+    return log_small, log_large, a, b
+
+
 def _log_objective_parts(
     oriented: GnsProblem, theta_value: float, point: SigmaPoint
 ) -> tuple[float, float, float, float]:
     """(log C_small, log C_large, a, b) at a candidate, oriented labels."""
-    order1 = oriented.s + 2.0 * point.sigma - oriented.s1
-    order2 = oriented.s + 2.0 * point.sigma - oriented.s2
-    d = oriented.d
-    log_small = point.beta2 * math.log(
-        a_par(ParabolicParams(point.q2, oriented.p1, order1, d))
-    ) + (1.0 - point.beta2) * math.log(
-        a_par(ParabolicParams(point.r2, oriented.p2, order2, d))
-    )
-    log_large = point.beta1 * math.log(
-        a_par(ParabolicParams(point.r1, oriented.p1, order1, d))
-    ) + (1.0 - point.beta1) * math.log(
-        a_par(ParabolicParams(point.q1, oriented.p2, order2, d))
-    )
-    half_dk = 0.5 * d * oriented.chain_gap()
-    a = (theta_value - point.beta2) * half_dk
-    b = (point.beta1 - theta_value) * half_dk
-    return log_small, log_large, a, b
+    return _parts_at(oriented, theta_value, point.coords)
 
 
 def _feasible_frame(problem: GnsProblem, point: SigmaPoint) -> tuple[GnsProblem, float]:
@@ -136,12 +158,16 @@ def _feasible_frame(problem: GnsProblem, point: SigmaPoint) -> tuple[GnsProblem,
     return oriented, theta(oriented).value
 
 
-def _log_objective(oriented: GnsProblem, theta_value: float, point: SigmaPoint) -> float:
-    log_small, log_large, a, b = _log_objective_parts(oriented, theta_value, point)
+def _log_objective_at(oriented: GnsProblem, theta_value: float, coords: Coords) -> float:
+    log_small, log_large, a, b = _parts_at(oriented, theta_value, coords)
     log_p = log_small - math.log(a)
     log_q = log_large - math.log(b)
     w = a / (a + b)
-    return math.log(2.0) - math.lgamma(point.sigma) + (1.0 - w) * log_p + w * log_q
+    return math.log(2.0) - math.lgamma(coords[6]) + (1.0 - w) * log_p + w * log_q
+
+
+def _log_objective(oriented: GnsProblem, theta_value: float, point: SigmaPoint) -> float:
+    return _log_objective_at(oriented, theta_value, point.coords)
 
 
 def objective(problem: GnsProblem, point: SigmaPoint) -> float:
@@ -227,18 +253,26 @@ def _logit(u: float) -> float:
     return math.log(u / (1.0 - u))
 
 
+def _coords_from_z(
+    oriented: GnsProblem, theta_value: float, lb: float, z: np.ndarray
+) -> Coords | None:
+    """Decode a transformed coordinate vector; None if no candidate exists."""
+    u0, u1, _, u3, u4 = expit(z).tolist()
+    return decode_candidate(
+        oriented,
+        theta_value + (1.0 - theta_value) * u0,
+        theta_value * u1,
+        lb + SIGMA_OFFSET_MIN + _softplus(float(z[2])),
+        u3,
+        u4,
+    )
+
+
 def _point_from_z(
     oriented: GnsProblem, theta_value: float, lb: float, z: np.ndarray
 ) -> SigmaPoint | None:
-    """Decode a transformed coordinate vector; None if no candidate exists."""
-    return decode_candidate(
-        oriented,
-        theta_value + (1.0 - theta_value) * float(expit(z[0])),
-        theta_value * float(expit(z[1])),
-        lb + SIGMA_OFFSET_MIN + _softplus(float(z[2])),
-        float(expit(z[3])),
-        float(expit(z[4])),
-    )
+    coords = _coords_from_z(oriented, theta_value, lb, z)
+    return None if coords is None else SigmaPoint.from_coords(coords)
 
 
 def _z_from_point(
@@ -261,14 +295,14 @@ def _penalized_log_objective(
     oriented: GnsProblem, theta_value: float, lb: float
 ) -> Callable[[np.ndarray], float]:
     def fn(z: np.ndarray) -> float:
-        point = _point_from_z(oriented, theta_value, lb, z)
-        if point is None:
+        coords = _coords_from_z(oriented, theta_value, lb, z)
+        if coords is None:
             return PENALTY
-        if not margins_ok(*feasibility_margins(oriented, theta_value, point), 0.0):
+        if not margins_ok(*feasibility_margins(oriented, theta_value, coords), 0.0):
             return PENALTY
         try:
-            return _log_objective(oriented, theta_value, point)
-        except Exception:
+            return _log_objective_at(oriented, theta_value, coords)
+        except (GnsboundError, ArithmeticError, ValueError):
             return PENALTY
 
     return fn
@@ -280,26 +314,28 @@ def _nelder_mead(
     *,
     step: float = 0.25,
 ) -> tuple[np.ndarray, float]:
-    """Standard simplex descent; returns the best vertex ever visited."""
+    """Standard simplex descent; returns the best vertex ever visited.
+
+    The simplex is one (n+1) x n array, one vertex per row.
+    """
     n = len(z0)
-    simplex = [z0.copy()]
+    simplex = np.tile(z0, (n + 1, 1))
     for i in range(n):
-        vertex = z0.copy()
-        vertex[i] += step
-        simplex.append(vertex)
+        simplex[i + 1, i] += step
     values = [fn(v) for v in simplex]
-    best_z, best_f = min(zip(simplex, values), key=lambda t: t[1])
-    best_z = best_z.copy()
+    best_i = min(range(n + 1), key=lambda i: values[i])
+    best_z, best_f = simplex[best_i].copy(), values[best_i]
 
     for _ in range(MAX_ITERS):
         order = sorted(range(n + 1), key=lambda i: values[i])
-        simplex = [simplex[i] for i in order]
+        simplex = simplex[order]
         values = [values[i] for i in order]
         if values[0] < best_f:
             best_f, best_z = values[0], simplex[0].copy()
         if values[-1] < PENALTY and values[-1] - values[0] < REL_TOL:
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        # the arithmetic of np.mean, without its per-call dispatch
+        centroid = simplex[:-1].sum(axis=0) / n
         reflected = centroid + (centroid - simplex[-1])
         f_r = fn(reflected)
         if f_r < values[0]:
@@ -323,9 +359,8 @@ def _nelder_mead(
             if accept:
                 simplex[-1], values[-1] = contracted, f_c
             else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = fn(simplex[i])
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                values[1:] = [fn(v) for v in simplex[1:]]
     order = sorted(range(n + 1), key=lambda i: values[i])
     if values[order[0]] < best_f:
         best_f, best_z = values[order[0]], simplex[order[0]].copy()

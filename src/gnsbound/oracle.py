@@ -293,18 +293,26 @@ _LEVELS = {"coarse": (1.0, 16), "fine": (0.7, 22)}
 
 _SCOUT_GRID = 1025
 
+# A scout sign change whose two values both lie below this fraction of the
+# grid's largest |h| is quadrature roundoff, not a zero: where a Gaussian
+# tail has decayed below it, the computed profile flips sign at random.
+_ZERO_FLOOR = 1e-12
+
 
 def _profile_zeros(profile: _RadialProfile, r_split: float) -> list[float]:
     """Sign-change locations of the profile on (0, r_split), by bisection.
 
     Needed because |h|^p is only C^1 at zeros of h unless p is an even
     integer, which would degrade the panel rule; the zeros become panel
-    edges instead.
+    edges instead.  Sign changes between values below ``_ZERO_FLOOR`` times
+    the largest scout value are ignored.
     """
     scout = np.linspace(0.0, r_split, _SCOUT_GRID)
     values = profile(scout, "scout")
     zeros: list[float] = []
-    sign_change = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
+    magnitude = np.abs(values)
+    above_floor = np.maximum(magnitude[:-1], magnitude[1:]) >= _ZERO_FLOOR * magnitude.max()
+    sign_change = np.nonzero((values[:-1] * values[1:] < 0.0) & above_floor)[0]
     for i in sign_change:
         lo, hi = float(scout[i]), float(scout[i + 1])
         f_lo = float(values[i])

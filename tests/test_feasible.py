@@ -163,7 +163,7 @@ class TestInSigma:
     def test_margins_structure(self, fractional_problem):
         point = sample_sigma(fractional_problem, 1, seed=9)[0]
         oriented, _ = fractional_problem.oriented()
-        margins, closed = feasibility_margins(oriented, theta(oriented).value, point)
+        margins, closed = feasibility_margins(oriented, theta(oriented).value, point.coords)
         expected_names = {
             "sigma",
             "beta1_lower",

@@ -3,12 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnsbound.errors import InadmissibleError, InfeasibleError
 from gnsbound.exponents import GnsProblem, LebesgueExponent, theta
-from gnsbound.feasible import SigmaPoint, sample_sigma, sigma_lower_bound
+from gnsbound.feasible import SigmaPoint, in_sigma, sample_sigma, sigma_lower_bound
 from gnsbound.optimizer import (
+    PENALTY,
     OptimizerConfig,
+    _log_objective,
+    _penalized_log_objective,
+    _point_from_z,
     certificate_from_dict,
     certificate_json,
     certificate_to_dict,
@@ -21,6 +27,21 @@ from gnsbound.optimizer import (
 TWO = LebesgueExponent(0.5)
 
 FAST = OptimizerConfig(starts=8, sample_per_start=16, seed=42)
+
+# (d, s, s1, s2, p, p1, p2) of the seven benchmark certify problems: d = 1..3,
+# both orientations, p finite and infinite.
+CERTIFY_PROBLEMS = [
+    GnsProblem(d, s, s1, s2, *(LebesgueExponent.parse(e) for e in exps))
+    for d, s, s1, s2, *exps in (
+        (1, 0.0, 1.0, 0.0, "inf", "2", "2"),
+        (1, 0.5, 1.0, 0.0, "4", "2", "2"),
+        (1, 0.0, 0.0, 1.0, "inf", "2", "2"),
+        (2, 0.0, 1.0, 0.0, "4", "2", "2"),
+        (2, 0.5, 1.5, 0.0, "4", "2", "2"),
+        (3, 1.0, 2.0, 0.0, "2", "2", "2"),
+        (3, 0.0, 2.0, 0.0, "inf", "2", "2"),
+    )
+]
 
 
 class TestObjective:
@@ -122,17 +143,81 @@ class TestTwoTermCrossCheck:
             assert t0_scaled == pytest.approx(t0 * 3.0**exponent, rel=1e-12)
 
 
+def _log_objective_via_a_par(oriented, th, point):
+    """The objective from a_par(ParabolicParams(...)), one dataclass per constant."""
+    from gnsbound.parabolic import ParabolicParams, a_par
+
+    order1 = oriented.s + 2.0 * point.sigma - oriented.s1
+    order2 = oriented.s + 2.0 * point.sigma - oriented.s2
+    d = oriented.d
+
+    def log_a(out, inp, order):
+        return math.log(a_par(ParabolicParams(out, inp, order, d)))
+
+    log_small = point.beta2 * log_a(point.q2, oriented.p1, order1) + (
+        1.0 - point.beta2
+    ) * log_a(point.r2, oriented.p2, order2)
+    log_large = point.beta1 * log_a(point.r1, oriented.p1, order1) + (
+        1.0 - point.beta1
+    ) * log_a(point.q1, oriented.p2, order2)
+    half_dk = 0.5 * d * oriented.chain_gap()
+    a = (th - point.beta2) * half_dk
+    b = (point.beta1 - th) * half_dk
+    w = a / (a + b)
+    return (
+        math.log(2.0)
+        - math.lgamma(point.sigma)
+        + (1.0 - w) * (log_small - math.log(a))
+        + w * (log_large - math.log(b))
+    )
+
+
+class TestPenalizedObjectiveParity:
+    @given(
+        index=st.integers(0, len(CERTIFY_PROBLEMS) - 1),
+        z=st.lists(st.floats(-8.0, 8.0), min_size=5, max_size=5),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_descent_objective_matches_object_path(self, index, z):
+        # the descent evaluates on plain floats; wherever the candidate is a
+        # member it must return the object path's value bit for bit, and the
+        # penalty everywhere else
+        problem = CERTIFY_PROBLEMS[index]
+        oriented, _ = problem.oriented()
+        th = theta(oriented).value
+        lb = sigma_lower_bound(oriented)
+        zv = np.array(z)
+        got = _penalized_log_objective(oriented, th, lb)(zv)
+        point = _point_from_z(oriented, th, lb, zv)
+        if point is None or not in_sigma(problem, point).ok:
+            assert got == PENALTY
+        else:
+            assert got == _log_objective(oriented, th, point)
+            assert got == _log_objective_via_a_par(oriented, th, point)
+
+
 class TestMinimize:
     def test_reference_values_unchanged(self, agmon_problem, fractional_problem):
-        # certificate values at FAST from version 0.1.0; a change that keeps
-        # the bound must reproduce them
+        # certificate values and witnesses at FAST from version 0.1.0; a
+        # change that keeps the bound must reproduce them to the last bit
+        # (problem, (value, beta1, beta2, sigma))
         expected = [
-            (agmon_problem, 3.2045178772778646),
-            (fractional_problem, 2.3588270403519895),
-            (GnsProblem(3, 1.0, 2.0, 0.0, TWO, TWO, TWO), 30.27773984554294),
+            (
+                agmon_problem,
+                (3.2045178772778646, 0.9999999999555779, 8.038392973502486e-17, 0.49999999971787823),
+            ),
+            (
+                fractional_problem,
+                (2.3588270403519895, 0.9999999959676769, 1.0789783439269177e-14, 0.24999999992518432),
+            ),
+            (
+                GnsProblem(3, 1.0, 2.0, 0.0, TWO, TWO, TWO),
+                (30.27773984554294, 0.9999999556898089, 4.621586227980637e-06, 1.499997586936742),
+            ),
         ]
-        for problem, value in expected:
-            assert minimize(problem, FAST).value == pytest.approx(value, rel=1e-12)
+        for problem, want in expected:
+            cert = minimize(problem, FAST)
+            assert (cert.value, cert.point.beta1, cert.point.beta2, cert.point.sigma) == want
 
     def test_saturated_logistic_decodes_to_none(self, agmon_problem):
         # expit(40) rounds to 1.0, so beta1 = 1 and the convexity condition

@@ -14,6 +14,7 @@ from gnsbound.oracle import (
     _STUB_TERMS,
     RadialTestFunction,
     _freq_rule,
+    _profile_zeros,
     _RadialProfile,
     check_gns,
     check_parabolic,
@@ -265,6 +266,21 @@ class TestAccuracyControl:
         )
         got = fractional_heat_norm(RadialTestFunction(a, 1), 2.0, t, ONE)
         assert got == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("level", sorted(_LEVELS))
+    def test_roundoff_sign_flips_are_not_zeros(self, level):
+        # the same signed profile has one positive zero, r = 1/sqrt(2a'); far
+        # out, where |h| < 4e-16 against h(0) = 0.56, the computed profile
+        # flips sign by roundoff alone, and those flips are no zeros
+        a, t, s = 0.7, 0.3, 2.0
+        ap = a / (1 + 4 * a * t)
+        b = t + 0.25 / a
+        r_split = _SPLIT_FACTOR * math.sqrt(b)
+        scale, order = _LEVELS[level]
+        profile = _RadialProfile(RadialTestFunction(a, 1), s, t, r_split, scale=scale, order=order)
+        zeros = _profile_zeros(profile, r_split)
+        assert len(zeros) == 1
+        assert zeros[0] == pytest.approx((2 * ap) ** -0.5, rel=1e-9)
 
     def test_huge_exponent_no_overflow(self):
         value = fractional_heat_norm(RadialTestFunction(0.8, 1), 0.5, 0.2, LebesgueExponent(0.001))

@@ -7,6 +7,7 @@ from gnsbound.errors import DomainError, InvalidRegimeError, TripleMismatchError
 from gnsbound.exponents import LebesgueExponent
 from gnsbound.parabolic import (
     ParabolicParams,
+    _log_a_par,
     a_par,
     bound_at_time,
     heat_kernel_norm,
@@ -16,6 +17,7 @@ from gnsbound.parabolic import (
 INF = LebesgueExponent(0.0)
 ONE = LebesgueExponent(1.0)
 TWO = LebesgueExponent(0.5)
+FOUR = LebesgueExponent(0.25)
 FOUR_THIRDS = LebesgueExponent.parse("4/3")
 
 
@@ -95,12 +97,19 @@ class TestAParRegimes:
         assert value == pytest.approx(want, rel=1e-13)
 
     def test_invalid_regimes(self):
-        with pytest.raises(InvalidRegimeError):
-            ParabolicParams(INF, TWO, -1.0, 2)  # endpoint of the negative range
-        with pytest.raises(InvalidRegimeError):
-            ParabolicParams(ONE, TWO, 1.0, 2)  # input exponent above output
-        with pytest.raises(InvalidRegimeError):
-            ParabolicParams(ONE, ONE, -0.5, 2)  # negative order needs a gap
+        # each case is rejected alike by the dataclass and the float kernel
+        cases = [
+            (INF, TWO, -1.0, 2),  # endpoint of the negative range
+            (FOUR, ONE, -2.25, 3),  # endpoint again: -s = d*(1/r - 1/p) exactly
+            (ONE, TWO, 1.0, 2),  # input exponent above output
+            (LebesgueExponent(2e-12), INF, 0.0, 1),  # above output beyond the snap
+            (ONE, ONE, -0.5, 2),  # negative order needs a gap
+        ]
+        for p, r, s, d in cases:
+            with pytest.raises(InvalidRegimeError):
+                ParabolicParams(p, r, s, d)
+            with pytest.raises(InvalidRegimeError):
+                _log_a_par(p.recip, r.recip, s, d)
 
     def test_continuity_splice(self):
         # fractional branch approaches the even-integer branch from below
@@ -119,15 +128,23 @@ class TestAParRegimes:
         # the off-diagonal formula at r = p collapses to the diagonal one:
         # the partner exponent becomes 1, the gap vanishes, and the
         # power-product minimum is 1, leaving only the Gamma ratio
-        for s in (0.0, 2.0, 4.0):
-            for d in (1, 2, 3):
-                got = a_par(ParabolicParams(TWO, TWO, s, d))
-                want = math.exp(
-                    math.lgamma(0.5 * (d + s))
-                    - math.lgamma(0.5 * d)
-                    + 0.5 * s * math.log(2.0)
-                )
-                assert got == pytest.approx(want, rel=1e-14)
+        # an input reciprocal BOUNDARY_SNAP = 1e-12 below the output one is
+        # snapped onto the diagonal, by the dataclass and the float kernel
+        snapped = LebesgueExponent(1e-12)
+        for p, r in ((TWO, TWO), (snapped, INF)):
+            for s in (0.0, 2.0, 4.0):
+                for d in (1, 2, 3):
+                    params = ParabolicParams(p, r, s, d)
+                    got = a_par(params)
+                    want = math.exp(
+                        math.lgamma(0.5 * (d + s))
+                        - math.lgamma(0.5 * d)
+                        + 0.5 * s * math.log(2.0)
+                    )
+                    assert got == pytest.approx(want, rel=1e-14)
+                    assert params.r == p
+                    assert got == math.exp(_log_a_par(p.recip, r.recip, s, d))
+                    assert got == a_par(ParabolicParams(p, p, s, d))
 
     @staticmethod
     def _halfline_power_integral(a: float, b: float) -> float:
