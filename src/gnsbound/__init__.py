@@ -11,7 +11,7 @@ parameters, and verifies every implemented inequality numerically on Gaussian
 test functions.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     AccuracyError,
@@ -27,13 +27,10 @@ from .errors import (
     TripleMismatchError,
 )
 from .exponents import (
-    FailureCase,
     GnsProblem,
     LebesgueExponent,
     Theta,
     ValidationReport,
-    brezis_mironescu_exception,
-    known_failure_case,
     theta,
     validate,
     young_partner,
@@ -93,13 +90,10 @@ __all__ = [
     "SizeError",
     "StructurallyEmptyError",
     "TripleMismatchError",
-    "FailureCase",
     "GnsProblem",
     "LebesgueExponent",
     "Theta",
     "ValidationReport",
-    "brezis_mironescu_exception",
-    "known_failure_case",
     "theta",
     "validate",
     "young_partner",

@@ -8,7 +8,8 @@ Commands:
                      Gaussian ratios
 
 Exit codes: 0 success, 1 inequality violation, 2 bad input, 3 quadrature
-accuracy failure.  Certificate JSON and sweep CSV payloads are byte-identical
+accuracy failure, 4 search exhaustion (no feasible point found, though none
+is proven absent).  Certificate JSON and sweep CSV payloads are byte-identical
 across runs with the same flags and seed; the run manifest (printed to
 stdout) carries the timestamp and parameter echo.  The environment variable
 GNS_SEED overrides the default seed when --seed is not given.
@@ -26,10 +27,12 @@ from datetime import datetime, timezone
 from . import __version__
 from .errors import (
     AccuracyError,
+    EmptyFeasibleError,
     GnsboundError,
     InadmissibleError,
     InvalidRegimeError,
     OutOfRangeError,
+    StructurallyEmptyError,
 )
 from .exponents import GnsProblem, LebesgueExponent
 from .optimizer import (
@@ -45,6 +48,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_ACCURACY = 3
+EXIT_SEARCH = 4
 
 
 def _default_seed() -> int:
@@ -177,15 +181,19 @@ def _cmd_parabolic(args: argparse.Namespace) -> int:
             s=args.s,
             d=args.d,
         )
+        lines = [f"a_par = {a_par(params)!r}"]
+        if args.t is not None:
+            lines.append(f"bound_at_time = {bound_at_time(params, args.t)!r}")
     except InvalidRegimeError as exc:
         print(f"invalid regime: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OverflowError:
+        print("bad input: the constant overflows a float", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (OutOfRangeError, ValueError, GnsboundError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    print(f"a_par = {a_par(params)!r}")
-    if args.t is not None:
-        print(f"bound_at_time = {bound_at_time(params, args.t)!r}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -264,6 +272,12 @@ def main(argv: list[str] | None = None) -> int:
     except AccuracyError as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
+    except StructurallyEmptyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except EmptyFeasibleError as exc:
+        print(f"search exhausted: {exc}", file=sys.stderr)
+        return EXIT_SEARCH
     except GnsboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

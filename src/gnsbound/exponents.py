@@ -9,30 +9,19 @@ A problem is the tuple (d, s, s1, s2, p, p1, p2).  Writing
 X = 1/p - s/d and Xj = 1/pj - sj/d, the problem is admissible when X lies
 strictly between X1 and X2, in which case the interpolation weight theta
 in (0, 1) solves X = theta*X1 + (1-theta)*X2.  Admissibility is checked by
-:func:`validate`; construction of :class:`GnsProblem` deliberately does not
-enforce it, so that the advisory failure-case predicates can classify
-excluded parameter tuples.
+:func:`validate`, not on construction of :class:`GnsProblem`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import InadmissibleError, OutOfRangeError
 
-# Tolerance for treating a float as a natural number in the advisory
-# predicates (inputs arrive as floats).
-INTEGER_TOL = 1e-9
-
 # Tolerance for float comparisons of reciprocal-affine identities.
 RECIP_TOL = 1e-12
-
-
-def _is_integer(x: float, minimum: int = 0) -> bool:
-    return abs(x - round(x)) < INTEGER_TOL and round(x) >= minimum
 
 
 @dataclass(frozen=True)
@@ -212,110 +201,3 @@ def theta(problem: GnsProblem) -> Theta:
     if not (0.0 < value < 1.0):
         raise InadmissibleError(f"interpolation weight {value!r} outside (0, 1)")
     return Theta(value)
-
-
-def brezis_mironescu_exception(
-    s1: float, p1: LebesgueExponent, s2: float, p2: LebesgueExponent
-) -> bool:
-    """Advisory predicate for the inhomogeneous-norm exception condition.
-
-    True iff s2 is a positive integer, p2 = 1, and 0 < s2 - s1 <= 1 - 1/p1.
-    Not used by the bound computation.
-    """
-    if not _is_integer(s2, minimum=1):
-        return False
-    if abs(p2.recip - 1.0) > INTEGER_TOL:
-        return False
-    gap = s2 - s1
-    return 0.0 < gap <= 1.0 - p1.recip + INTEGER_TOL
-
-
-class FailureCase(Enum):
-    """Enumerated parameter families where the inequality is known to fail."""
-
-    CASE_1 = "case-1"
-    CASE_2 = "case-2"
-    CASE_3A = "case-3a"
-    CASE_3B = "case-3b"
-
-
-def known_failure_case(
-    problem: GnsProblem, theta_value: float | None = None
-) -> FailureCase | None:
-    """Match the problem against the enumerated failure families, if any.
-
-    Advisory only: admissible problems match none of the cases.  Two of the
-    families constrain the interpolation weight; for those, ``theta_value``
-    is used when given, otherwise the derived weight of an admissible
-    problem.  For inadmissible problems without an explicit weight, the
-    weight-window clauses are treated as unsatisfied.  Cases are tested in
-    enumeration order and the first match wins; overlaps between the families
-    are not disambiguated.
-    """
-    d, s, s1, s2 = problem.d, problem.s, problem.s1, problem.s2
-    p, p1, p2 = problem.p, problem.p1, problem.p2
-
-    if theta_value is None and validate(problem).admissible:
-        theta_value = theta(problem).value
-
-    p1_gt_1 = p1.recip < 1.0 - INTEGER_TOL
-    p1_finite = p1.recip > INTEGER_TOL
-    p2_is_1 = abs(p2.recip - 1.0) < INTEGER_TOL
-    p_is_inf = p.recip < INTEGER_TOL
-
-    def theta_window() -> bool:
-        if theta_value is None:
-            return False
-        lo = s2 + theta_value * p1.recip - 1.0
-        hi = s2 + theta_value * p1.recip - theta_value
-        return lo < s < hi
-
-    # Case 1: d = 1, s2 in N0, 1 < p1 <= inf, p2 = 1, s1 = s2 - 1 + 1/p1,
-    # and either [1 < p1 < inf, s = s2 - 1] or the weight window holds.
-    if (
-        d == 1
-        and _is_integer(s2, minimum=0)
-        and p1_gt_1
-        and p2_is_1
-        and abs(s1 - (s2 - 1.0 + p1.recip)) < INTEGER_TOL
-    ):
-        if (p1_finite and abs(s - (s2 - 1.0)) < INTEGER_TOL) or theta_window():
-            return FailureCase.CASE_1
-
-    # Case 2: s1 < s2, s1 - d/p1 = s2 - d/p2 = s in N0, p = inf,
-    # (p1, p2) != (inf, 1); holds for every interpolation weight.
-    if (
-        s1 < s2
-        and abs((s1 - d * p1.recip) - s) < INTEGER_TOL
-        and abs((s2 - d * p2.recip) - s) < INTEGER_TOL
-        and _is_integer(s, minimum=0)
-        and p_is_inf
-        and not (p1.recip < INTEGER_TOL and p2_is_1)
-    ):
-        return FailureCase.CASE_2
-
-    if s1 <= s <= s2:
-        # Case 3a: the weight-window variant of case 1 with s2 >= 1 and
-        # finite p1.
-        if (
-            d == 1
-            and _is_integer(s2, minimum=1)
-            and p1_gt_1
-            and p1_finite
-            and p2_is_1
-            and abs(s1 - (s2 - 1.0 + p1.recip)) < INTEGER_TOL
-            and theta_window()
-        ):
-            return FailureCase.CASE_3A
-        # Case 3b: p1 = p = inf, 1 < p2 < inf, s1 = s in N0, s2 = s + d/p2.
-        if (
-            p1.recip < INTEGER_TOL
-            and INTEGER_TOL < p2.recip < 1.0 - INTEGER_TOL
-            and p_is_inf
-            and abs(s1 - s) < INTEGER_TOL
-            and _is_integer(s, minimum=0)
-            and abs(s2 - (s + d * p2.recip)) < INTEGER_TOL
-        ):
-            return FailureCase.CASE_3B
-
-    return None

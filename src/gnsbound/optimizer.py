@@ -1,4 +1,4 @@
-"""Objective evaluation and multi-start minimization over the feasible set.
+"""Objective evaluation and minimization over the feasible set.
 
 The bound at a feasible candidate comes from splitting the inverse-Laplacian
 time integral at the pivot equalizing the two resulting terms.  Writing
@@ -16,19 +16,17 @@ This is the two-term bound of :func:`two_term_bound`, valid at every pivot,
 evaluated at the pivot of :func:`equalizing_t0`; the test suite checks the
 identity.  It is the only closed form used for a bound.
 
-Minimization is multi-start derivative-free simplex descent in transformed
-coordinates: betas through logistic maps onto their open ranges, sigma
-through a softplus offset from its lower bound, and the two ratio quantities
-through logistic maps onto fractions of their draw boxes (re-derived at every
-evaluation).  :func:`~gnsbound.feasible.decode_candidate` turns those values
-into a candidate exactly as the sampler does.  Trial points failing the
-membership rule of :func:`~gnsbound.feasible.in_sigma` receive a large
-penalty.  Each evaluation works on the candidate's plain floats
-(:data:`~gnsbound.feasible.Coords`) and builds no dataclass; a
-:class:`~gnsbound.feasible.SigmaPoint` is built only for the sampled start
-points and for the best point of a pass.  Starts own generators seeded ``seed + start_index`` and results
-merge by start order, so the certificate is a deterministic function of
-(problem, config).
+:func:`minimize` has two routes, and the certificate names the one that
+found its point.  The corner route puts beta1 -> 1, beta2 -> 0: the direct
+two-term estimate, small t with (s2, p2) and large t with (s1, p1).  There
+the bound is smooth in sigma except at kinks, where a shifted order
+s + 2*sigma - s_j is an even integer >= 0.  Where :func:`_corner_is_optimal`
+holds, that is the answer.  Elsewhere the multistart runs simplex descent
+from sampled starts (seeded ``seed + start_index``) in logistic and softplus
+coordinates, and a feasible corner point still wins if it scores lower.
+Both decode with :func:`~gnsbound.feasible.decode_candidate`, apply the rule
+of :func:`~gnsbound.feasible.in_sigma` and score on plain floats, with no
+dataclass per evaluation; non-members score a large penalty.
 """
 
 from __future__ import annotations
@@ -78,6 +76,19 @@ REL_TOL = 1e-9
 # A loaded certificate's stored value must match the recomputed bound to this.
 CERT_VALUE_RTOL = 1e-9
 
+# (1 - beta1, beta2) toward the corner.  Powers of two keep 1 - beta1, the box
+# edges and the derived q's exact, where rounding would be amplified by 1/beta2.
+CORNER_LADDER = ((2.0**-40, 2.0**-43), (2.0**-44, 2.0**-50), (2.0**-47, 2.0**-53))
+# Golden-section evaluations per smooth piece between two kinks.
+PIECE_EVALS = 32
+# A shifted order this far above an even integer at a kink is rounding; a
+# piece this short lies between a kink and its float neighbours.
+KINK_ROUNDING = 1e-12
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# v0/(1 + v0), v0 = W(1/e) the root of log v + v + 1 = 0; see _corner_is_optimal.
+CORNER_THETA_MIN = 0.2784645427610738 / 1.2784645427610738
+ROUTES = ("corner", "multistart")
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -101,7 +112,8 @@ class BoundCertificate:
 
     ``point`` is expressed in the oriented labeling (``relabeled`` records
     whether the endpoints were swapped to direct the chain); ``theta`` refers
-    to the problem's labeling as given.
+    to the problem's labeling as given.  ``route`` names the search that found
+    the point; ``sample_count``, ``starts`` and ``seed`` echo the config.
     """
 
     problem: GnsProblem
@@ -114,6 +126,7 @@ class BoundCertificate:
     seed: int
     relabeled: bool
     sigma_window: float
+    route: str
 
 
 def _log_a(p_recip: float, r_recip: float, s: float, d: int) -> float:
@@ -140,13 +153,6 @@ def _parts_at(
     return log_small, log_large, a, b
 
 
-def _log_objective_parts(
-    oriented: GnsProblem, theta_value: float, point: SigmaPoint
-) -> tuple[float, float, float, float]:
-    """(log C_small, log C_large, a, b) at a candidate, oriented labels."""
-    return _parts_at(oriented, theta_value, point.coords)
-
-
 def _feasible_frame(problem: GnsProblem, point: SigmaPoint) -> tuple[GnsProblem, float]:
     """(oriented problem, its theta) for a candidate that must be feasible."""
     report = in_sigma(problem, point)
@@ -166,13 +172,9 @@ def _log_objective_at(oriented: GnsProblem, theta_value: float, coords: Coords) 
     return math.log(2.0) - math.lgamma(coords[6]) + (1.0 - w) * log_p + w * log_q
 
 
-def _log_objective(oriented: GnsProblem, theta_value: float, point: SigmaPoint) -> float:
-    return _log_objective_at(oriented, theta_value, point.coords)
-
-
 def objective(problem: GnsProblem, point: SigmaPoint) -> float:
     """Bound value at a feasible candidate (equalized two-term form)."""
-    return math.exp(_log_objective(*_feasible_frame(problem, point), point))
+    return math.exp(_log_objective_at(*_feasible_frame(problem, point), point.coords))
 
 
 def _oriented_norms(
@@ -192,7 +194,7 @@ def equalizing_t0(
     """
     if norm1 <= 0.0 or norm2 <= 0.0:
         raise InfeasibleError("norms must be positive")
-    log_small, log_large, a, b = _log_objective_parts(*_feasible_frame(problem, point), point)
+    log_small, log_large, a, b = _parts_at(*_feasible_frame(problem, point), point.coords)
     n1, n2 = _oriented_norms(problem, norm1, norm2)
     log_t0 = (
         (point.beta1 - point.beta2) * (math.log(n1) - math.log(n2))
@@ -214,7 +216,7 @@ def two_term_bound(
     """The split bound at an arbitrary pivot t0 > 0 (valid for every t0)."""
     if t0 <= 0.0:
         raise InfeasibleError("pivot time must be positive")
-    log_small, log_large, a, b = _log_objective_parts(*_feasible_frame(problem, point), point)
+    log_small, log_large, a, b = _parts_at(*_feasible_frame(problem, point), point.coords)
     n1, n2 = _oriented_norms(problem, norm1, norm2)
     log_n1, log_n2 = math.log(n1), math.log(n2)
     term_small = math.exp(
@@ -268,13 +270,6 @@ def _coords_from_z(
     )
 
 
-def _point_from_z(
-    oriented: GnsProblem, theta_value: float, lb: float, z: np.ndarray
-) -> SigmaPoint | None:
-    coords = _coords_from_z(oriented, theta_value, lb, z)
-    return None if coords is None else SigmaPoint.from_coords(coords)
-
-
 def _z_from_point(
     oriented: GnsProblem, theta_value: float, lb: float, point: SigmaPoint
 ) -> np.ndarray:
@@ -291,19 +286,23 @@ def _z_from_point(
     return z
 
 
+def _penalized_at(oriented: GnsProblem, theta_value: float, coords: Coords | None) -> float:
+    """Log objective at a decoded candidate; PENALTY unless it is a member."""
+    if coords is None:
+        return PENALTY
+    if not margins_ok(*feasibility_margins(oriented, theta_value, coords), 0.0):
+        return PENALTY
+    try:
+        return _log_objective_at(oriented, theta_value, coords)
+    except (GnsboundError, ArithmeticError, ValueError):
+        return PENALTY
+
+
 def _penalized_log_objective(
     oriented: GnsProblem, theta_value: float, lb: float
 ) -> Callable[[np.ndarray], float]:
     def fn(z: np.ndarray) -> float:
-        coords = _coords_from_z(oriented, theta_value, lb, z)
-        if coords is None:
-            return PENALTY
-        if not margins_ok(*feasibility_margins(oriented, theta_value, coords), 0.0):
-            return PENALTY
-        try:
-            return _log_objective_at(oriented, theta_value, coords)
-        except (GnsboundError, ArithmeticError, ValueError):
-            return PENALTY
+        return _penalized_at(oriented, theta_value, _coords_from_z(oriented, theta_value, lb, z))
 
     return fn
 
@@ -367,6 +366,85 @@ def _nelder_mead(
     return best_z, best_f
 
 
+def _kink_sigmas(oriented: GnsProblem, lb: float, window: float) -> list[float]:
+    """Sigmas in (lb, lb + window] where some s + 2*sigma - s_j is in 2*N0.
+
+    The smoothing constant is continuous from below at a kink and jumps above
+    it, so each kink comes with the next float above it and, where rounding
+    puts the shifted order above its even integer, the floats just below.
+    """
+    kinks = set()
+    for s_j in (oriented.s1, oriented.s2):
+        base = 0.5 * (s_j - oriented.s)
+        k = max(0, math.floor(lb - base))
+        while base + k <= lb + window:
+            sigma = base + k
+            kinks.update((sigma, math.nextafter(sigma, math.inf)))
+            while 0.0 < oriented.s + 2.0 * sigma - s_j - 2.0 * k < KINK_ROUNDING:
+                sigma = math.nextafter(sigma, -math.inf)
+                kinks.add(sigma)
+            k += 1
+    return sorted(kink for kink in kinks if lb < kink <= lb + window)
+
+
+def _golden_min(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """(value, x) at the best of PIECE_EVALS golden-section probes in (lo, hi).
+
+    Ties move right: corner feasibility only gets easier as sigma grows.
+    """
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    for _ in range(PIECE_EVALS - 2):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = fn(d)
+    return min((fc, c), (fd, d))
+
+
+def _corner_search(
+    oriented: GnsProblem, theta_value: float, lb: float, window: float
+) -> tuple[float, Coords] | None:
+    """(log value, candidate) of the best feasible corner point, or None.
+
+    Sigma is the best of the kinks and of a golden-section minimum per smooth
+    piece, on the first ladder rung; then every rung is tried at that sigma.
+    """
+
+    def at(sigma: float, eps: tuple[float, float]) -> tuple[float, Coords | None]:
+        coords = decode_candidate(oriented, 1.0 - eps[0], eps[1], sigma, 0.5, 0.5)
+        return _penalized_at(oriented, theta_value, coords), coords
+
+    def along(sigma: float) -> float:
+        return at(sigma, CORNER_LADDER[0])[0]
+
+    kinks = _kink_sigmas(oriented, lb, window)
+    edges = sorted({lb, *kinks, lb + window})
+    scored = [(along(sigma), sigma) for sigma in kinks]
+    pieces = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi - lo > KINK_ROUNDING]
+    scored += [_golden_min(along, lo, hi) for lo, hi in pieces]
+    best_val, sigma = min(scored, default=(PENALTY, lb))
+    if best_val >= PENALTY:
+        return None
+    return min((at(sigma, eps) for eps in CORNER_LADDER), key=lambda found: found[0])
+
+
+def _corner_is_optimal(oriented: GnsProblem, theta_value: float) -> bool:
+    """Whether the corner minimizes the bound over the betas at every sigma.
+
+    So it does when p = inf or p = p1 = p2, which forces every output exponent
+    to p, and theta is in [CORNER_THETA_MIN, 1 - CORNER_THETA_MIN]; the proof
+    is in the README.  Elsewhere interior betas can win.
+    """
+    p_recip = oriented.p.recip
+    forced = p_recip == 0.0 or p_recip == oriented.p1.recip == oriented.p2.recip
+    return forced and CORNER_THETA_MIN <= theta_value <= 1.0 - CORNER_THETA_MIN
+
+
 def _run_pass(
     problem: GnsProblem,
     oriented: GnsProblem,
@@ -388,44 +466,30 @@ def _run_pass(
             config.seed + start,
             sigma_window=sigma_window,
         )
-        scored = [(_log_objective(oriented, theta_value, pt), pt) for pt in points]
+        scored = [(_log_objective_at(oriented, theta_value, pt.coords), pt) for pt in points]
         start_val, start_pt = min(scored, key=lambda t: t[0])
         min_sampled = min(min_sampled, start_val)
         z0 = _z_from_point(oriented, theta_value, lb, start_pt)
         z_best, f_best = _nelder_mead(fn, z0)
         if f_best < min(best_val, start_val):
-            candidate = _point_from_z(oriented, theta_value, lb, z_best)
-            if candidate is not None:
-                best_point, best_val = candidate, f_best
+            coords = _coords_from_z(oriented, theta_value, lb, z_best)
+            if coords is not None:
+                best_point, best_val = SigmaPoint.from_coords(coords), f_best
         elif start_val < best_val:
             best_point, best_val = start_pt, start_val
     assert best_point is not None
     return best_point, best_val, min_sampled
 
 
-def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> BoundCertificate:
-    """Multi-start minimization of the bound over the feasible set.
-
-    Deterministic given (problem, config).  The sigma search window expands
-    once (by a factor 4) if the best sigma lands within 1% of its upper edge,
-    or if sampling finds nothing inside the original window; a provably empty
-    feasible set propagates as :class:`StructurallyEmptyError` instead.
-    """
-    config = config or OptimizerConfig()
-    report = validate(problem)
-    if not report.admissible:
-        raise InadmissibleError(
-            f"problem is not admissible: margins "
-            f"({report.lower_margin!r}, {report.upper_margin!r})"
-        )
-    oriented, swapped = problem.oriented()
-    theta_oriented = theta(oriented).value
+def _multistart(
+    problem: GnsProblem, oriented: GnsProblem, theta_value: float, config: OptimizerConfig
+) -> tuple[SigmaPoint, float, float]:
+    """Best point of the sampled multistart, its log value and its sigma window."""
     lb = sigma_lower_bound(oriented)
-
     window = config.sigma_window
     try:
         best_point, best_val, min_sampled = _run_pass(
-            problem, oriented, theta_oriented, config, window
+            problem, oriented, theta_value, config, window
         )
         expand = best_point.sigma > lb + 0.99 * window
     except StructurallyEmptyError:
@@ -439,18 +503,56 @@ def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> Boun
         expand = True
     if expand:
         wide_point, wide_val, wide_sampled = _run_pass(
-            problem, oriented, theta_oriented, config, 4.0 * window
+            problem, oriented, theta_value, config, 4.0 * window
         )
         min_sampled = min(min_sampled, wide_sampled)
         if wide_val < best_val:
             best_point, best_val = wide_point, wide_val
             window = 4.0 * window
     assert best_point is not None
+    assert best_val <= min_sampled + 1e-12
+    return best_point, best_val, window
+
+
+def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> BoundCertificate:
+    """Minimize the bound over the feasible set; deterministic given (problem, config).
+
+    Each search expands the sigma window once (by a factor 4) if its best
+    sigma lands within 1% of the upper edge, or if it finds nothing inside
+    the original window.  A provably empty feasible set propagates from the
+    multistart as :class:`StructurallyEmptyError`.
+    """
+    config = config or OptimizerConfig()
+    report = validate(problem)
+    if not report.admissible:
+        raise InadmissibleError(
+            f"problem is not admissible: margins "
+            f"({report.lower_margin!r}, {report.upper_margin!r})"
+        )
+    oriented, swapped = problem.oriented()
+    theta_oriented = theta(oriented).value
+    lb = sigma_lower_bound(oriented)
+
+    window = config.sigma_window
+    corner = _corner_search(oriented, theta_oriented, lb, window)
+    if corner is None or corner[1][6] > lb + 0.99 * window:
+        wide = _corner_search(oriented, theta_oriented, lb, 4.0 * window)
+        if wide is not None and (corner is None or wide[0] < corner[0]):
+            corner, window = wide, 4.0 * window
+    route, best_point = "corner", None if corner is None else SigmaPoint.from_coords(corner[1])
+    if corner is None or not _corner_is_optimal(oriented, theta_oriented):
+        try:
+            ms_point, ms_val, ms_window = _multistart(problem, oriented, theta_oriented, config)
+        except EmptyFeasibleError:
+            if corner is None:
+                raise
+        else:
+            if corner is None or ms_val <= corner[0]:
+                route, best_point, window = "multistart", ms_point, ms_window
 
     value = objective(problem, best_point)
     margins = in_sigma(problem, best_point)
     assert margins.ok
-    assert best_val <= min_sampled + 1e-12
     return BoundCertificate(
         problem=problem,
         point=best_point,
@@ -462,6 +564,7 @@ def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> Boun
         seed=config.seed,
         relabeled=swapped,
         sigma_window=window,
+        route=route,
     )
 
 
@@ -497,6 +600,7 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
         "seed": cert.seed,
         "relabeled": cert.relabeled,
         "sigma_window": cert.sigma_window,
+        "route": cert.route,
         "objective_form": "equalized-two-term",
         "closed_margins": ",".join(sorted(cert.margins.closed)),
     }
@@ -513,7 +617,8 @@ def certificate_from_dict(doc: Mapping) -> BoundCertificate:
     objective at the point; :class:`InfeasibleError` is raised when the
     point is infeasible or the stored value differs from the recomputed one
     by more than ``CERT_VALUE_RTOL``.  Keys it does not read, such as those
-    only older format versions wrote, are ignored.
+    only older format versions wrote, are ignored.  ``route`` takes no part in
+    the check; files before 0.3.0 lack it and came from the multistart.
     """
     problem = GnsProblem(
         d=int(doc["d"]),
@@ -533,6 +638,9 @@ def certificate_from_dict(doc: Mapping) -> BoundCertificate:
         q2=LebesgueExponent(float(doc["q2_recip"])),
         sigma=float(doc["sigma"]),
     )
+    route = doc.get("route", "multistart")
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}")
     value = objective(problem, point)
     stored = float(doc["value"])
     if not abs(stored - value) <= CERT_VALUE_RTOL * value:
@@ -550,6 +658,7 @@ def certificate_from_dict(doc: Mapping) -> BoundCertificate:
         seed=int(doc["seed"]),
         relabeled=problem.oriented()[1],
         sigma_window=float(doc["sigma_window"]),
+        route=route,
     )
 
 

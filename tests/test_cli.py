@@ -89,6 +89,26 @@ class TestBoundCommand:
         )
         assert code == 2
 
+    def test_search_exhaustion_exit_4(self, capsys):
+        # admissible and not proven empty, but no sampled point is feasible
+        code, out, err = run(
+            ["bound", "--d", "1", "--s", "0.5", "--s1", "0", "--s2", "1",
+             "--p", "4", "--p1", "inf", "--p2", "2", *FAST],
+            capsys,
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("search exhausted:") and len(err.strip().splitlines()) == 1
+
+    def test_structurally_empty_exit_2(self, capsys):
+        code, _, err = run(
+            ["bound", "--d", "1", "--s", "0", "--s1", "-1", "--s2", "1",
+             "--p", "1", "--p1", "2", "--p2", "2"],
+            capsys,
+        )
+        assert code == 2
+        assert "structurally empty" in err
+
     def test_fraction_exponent_parsing(self, capsys):
         code, out, _ = run(
             ["bound", "--d", "1", "--s", "0.5", "--p", "4/1",
@@ -238,11 +258,13 @@ def agmon_cert_path(tmp_path_factory):
         (["verify", "gns", "--cert", "CERT", "--dilations", "1100"], None),
         (["parabolic", "--d", "1", "--s", "nan", "--r", "2", "--p", "2"], None),
         (["parabolic", "--d", "1", "--s", "0", "--r", "2", "--p", "2", "--t", "inf"], None),
+        (["parabolic", "--d", "1", "--s", "700", "--r", "2", "--p", "2"], None),
     ],
     ids=[
         "starts-0", "samples-0", "seed-negative", "env-seed-abc", "p-1-over-0",
         "p-minus-inf", "parabolic-widths-inf", "parabolic-widths-nan",
         "gns-widths-inf", "gns-dilations-1100", "parabolic-s-nan", "parabolic-t-inf",
+        "parabolic-overflow",
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, env_seed, agmon_cert_path, capsys, monkeypatch):

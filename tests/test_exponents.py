@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from gnsbound.errors import InadmissibleError, OutOfRangeError
 from gnsbound.exponents import (
-    FailureCase,
     GnsProblem,
     LebesgueExponent,
-    brezis_mironescu_exception,
-    known_failure_case,
     theta,
     validate,
     young_partner,
@@ -124,12 +121,6 @@ class TestThetaAndValidate:
             recon = value * problem.position1() + (1.0 - value) * problem.position2()
             assert abs(recon - problem.position()) <= 1e-14
 
-    def test_known_failure_none_on_admissible(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            problem = self._random_admissible(rng)
-            assert known_failure_case(problem) is None
-
 
 class TestOrientation:
     def test_oriented_swaps_reversed_chain(self, agmon_problem):
@@ -143,42 +134,3 @@ class TestOrientation:
         problem = GnsProblem(1, 0.0, 0.0, 1.0, INF, TWO, TWO)
         oriented, swapped = problem.oriented()
         assert not swapped and oriented == problem
-
-
-class TestAdvisoryPredicates:
-    def test_brezis_mironescu_examples(self):
-        assert brezis_mironescu_exception(0.5, TWO, 1.0, ONE) is True
-        assert brezis_mironescu_exception(1.0, TWO, 1.0, TWO) is False
-        assert brezis_mironescu_exception(1.0, TWO, 1.5, ONE) is False
-
-    def test_case_1(self):
-        # s1 = s2 - 1 + 1/p1 with finite p1 and s = s2 - 1
-        problem = GnsProblem(1, 0.0, 0.5, 1.0, INF, TWO, ONE)
-        assert known_failure_case(problem) is FailureCase.CASE_1
-
-    def test_case_2(self):
-        # s_j - d/p_j = s for both endpoints, s = 0, p = inf
-        problem = GnsProblem(
-            2,
-            0.0,
-            2.0 / 3.0,
-            4.0 / 3.0,
-            INF,
-            LebesgueExponent.parse("3"),
-            LebesgueExponent.parse("3/2"),
-        )
-        assert known_failure_case(problem) is FailureCase.CASE_2
-
-    def test_case_3b_shadowed_by_case_2(self):
-        # every family-3b tuple (p1 = p = inf, s1 = s, s2 = s + d/p2) also
-        # satisfies family 2; first-match in enumeration order reports that
-        problem = GnsProblem(2, 1.0, 1.0, 2.0, INF, INF, TWO)
-        assert known_failure_case(problem) is FailureCase.CASE_2
-
-    def test_theta_window_case_requires_weight(self):
-        # weight-window clause of case 1; the window narrows as the weight
-        # grows, and is skipped entirely when no weight is available
-        problem = GnsProblem(1, 0.25, 0.5, 1.0, INF, TWO, ONE)
-        assert known_failure_case(problem, theta_value=0.1) is FailureCase.CASE_1
-        assert known_failure_case(problem, theta_value=0.9) is None
-        assert known_failure_case(problem) is None

@@ -3,18 +3,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gnsbound.errors import InadmissibleError, InfeasibleError
-from gnsbound.exponents import GnsProblem, LebesgueExponent, theta
+from gnsbound.errors import EmptyFeasibleError, InadmissibleError, InfeasibleError
+from gnsbound.exponents import GnsProblem, LebesgueExponent, theta, validate
 from gnsbound.feasible import SigmaPoint, in_sigma, sample_sigma, sigma_lower_bound
 from gnsbound.optimizer import (
+    CORNER_THETA_MIN,
     PENALTY,
     OptimizerConfig,
-    _log_objective,
+    _corner_is_optimal,
+    _corner_search,
+    _coords_from_z,
+    _log_objective_at,
+    _multistart,
+    _parts_at,
     _penalized_log_objective,
-    _point_from_z,
     certificate_from_dict,
     certificate_json,
     certificate_to_dict,
@@ -25,6 +30,7 @@ from gnsbound.optimizer import (
 )
 
 TWO = LebesgueExponent(0.5)
+INF = LebesgueExponent(0.0)
 
 FAST = OptimizerConfig(starts=8, sample_per_start=16, seed=42)
 
@@ -103,13 +109,11 @@ class TestTwoTermCrossCheck:
     def test_bisection_equalization(self, fractional_problem):
         # independent 1-d equalization of the two split terms agrees with the
         # closed-form pivot
-        from gnsbound.optimizer import _log_objective_parts
-
         point = sample_sigma(fractional_problem, 1, seed=14)[0]
         t0 = equalizing_t0(fractional_problem, point)
         oriented, _ = fractional_problem.oriented()
         th = theta(oriented).value
-        log_small, log_large, a, b = _log_objective_parts(oriented, th, point)
+        log_small, log_large, a, b = _parts_at(oriented, th, point.coords)
 
         def log_term_difference(log_t: float) -> float:
             small = log_small + a * log_t - math.log(a)
@@ -130,9 +134,7 @@ class TestTwoTermCrossCheck:
         point = sample_sigma(fractional_problem, 1, seed=14)[0]
         oriented, swapped = fractional_problem.oriented()
         th = theta(oriented).value
-        from gnsbound.optimizer import _log_objective_parts
-
-        _, _, a, b = _log_objective_parts(oriented, th, point)
+        _, _, a, b = _parts_at(oriented, th, point.coords)
         t0 = equalizing_t0(fractional_problem, point, 1.0, 1.0)
         t0_scaled = equalizing_t0(fractional_problem, point, 3.0, 1.0)
         exponent = (point.beta1 - point.beta2) / (a + b)
@@ -188,46 +190,122 @@ class TestPenalizedObjectiveParity:
         lb = sigma_lower_bound(oriented)
         zv = np.array(z)
         got = _penalized_log_objective(oriented, th, lb)(zv)
-        point = _point_from_z(oriented, th, lb, zv)
+        coords = _coords_from_z(oriented, th, lb, zv)
+        point = None if coords is None else SigmaPoint.from_coords(coords)
         if point is None or not in_sigma(problem, point).ok:
             assert got == PENALTY
         else:
-            assert got == _log_objective(oriented, th, point)
+            assert got == _log_objective_at(oriented, th, coords)
             assert got == _log_objective_via_a_par(oriented, th, point)
 
 
 class TestMinimize:
     def test_reference_values_unchanged(self, agmon_problem, fractional_problem):
-        # certificate values and witnesses at FAST from version 0.1.0; a
-        # change that keeps the bound must reproduce them to the last bit
-        # (problem, (value, beta1, beta2, sigma))
+        # certificate values and witnesses at FAST from version 0.3.0, all on
+        # the corner route; a change that keeps the bound must reproduce them
+        # to the last bit (problem, (value, beta1, beta2, sigma))
+        corner = (0.9999999999999929, 1.1102230246251565e-16)
         expected = [
-            (
-                agmon_problem,
-                (3.2045178772778646, 0.9999999999555779, 8.038392973502486e-17, 0.49999999971787823),
-            ),
-            (
-                fractional_problem,
-                (2.3588270403519895, 0.9999999959676769, 1.0789783439269177e-14, 0.24999999992518432),
-            ),
+            (agmon_problem, (3.2045178765088833, *corner, 0.5)),
+            (fractional_problem, (2.3588270393349453, *corner, 0.25)),
             (
                 GnsProblem(3, 1.0, 2.0, 0.0, TWO, TWO, TWO),
-                (30.27773984554294, 0.9999999556898089, 4.621586227980637e-06, 1.499997586936742),
+                (30.277590264242146, *corner, 1.5000000000000002),
             ),
         ]
         for problem, want in expected:
             cert = minimize(problem, FAST)
+            assert cert.route == "corner"
             assert (cert.value, cert.point.beta1, cert.point.beta2, cert.point.sigma) == want
+
+    def test_corner_infeasible_problem_keeps_the_multistart(self):
+        # p2 = inf > p: r2 -> p cannot pair with p2 at order >= 0, so no
+        # corner point is feasible; the certificate is the 0.2.0 one
+        problem = GnsProblem(
+            2, 0.0, 1.0, 0.0, LebesgueExponent.parse("3"), LebesgueExponent(1.0), INF
+        )
+        oriented, _ = problem.oriented()
+        lb = sigma_lower_bound(oriented)
+        assert _corner_search(oriented, theta(oriented).value, lb, 40.0) is None
+        cert = minimize(problem)
+        assert cert.route == "multistart"
+        assert cert.value == 3.69729802092843
+        assert cert.point.coords == (
+            0.9999999999972935, 0.33333333511623553, 0.3333333333342355, 0.0,
+            0.0, 0.9999999946512934, 0.49999999999999994,
+        )
+        assert cert.sigma_window == 10.0
+
+    def test_corner_loses_outside_the_proven_class(self):
+        # p = 4, p1 = p2 = 1: the output exponents are not forced to p, and
+        # interior betas beat the corner by 1.7%
+        problem = GnsProblem(
+            2, 0.0, 2.0, 0.5, LebesgueExponent.parse("4"), LebesgueExponent(1.0),
+            LebesgueExponent(1.0),
+        )
+        oriented, _ = problem.oriented()
+        th = theta(oriented).value
+        corner = _corner_search(oriented, th, sigma_lower_bound(oriented), FAST.sigma_window)
+        assert corner is not None and not _corner_is_optimal(oriented, th)
+        cert = minimize(problem, FAST)
+        assert cert.route == "multistart"
+        assert cert.value < math.exp(corner[0]) * (1.0 - 1e-2)
+
+    @pytest.mark.parametrize("index", [0, 2, 5, 6])
+    def test_corner_route_evaluation_budget(self, index, monkeypatch):
+        # the benchmark problems in the class where the corner is optimal
+        # (p = inf, or p = p1 = p2) never run the multistart
+        from gnsbound import optimizer
+
+        calls = []
+        original = optimizer._penalized_at
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(optimizer, "_penalized_at", counting)
+        cert = minimize(CERTIFY_PROBLEMS[index])
+        assert cert.route == "corner"
+        assert len(calls) <= 2000
+
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        orders=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=3, max_size=3),
+        exps=st.lists(st.sampled_from(["1", "2", "4", "inf"]), min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_corner_route_never_loses_to_the_multistart(self, d, orders, exps):
+        problem = GnsProblem(d, *orders, *(LebesgueExponent.parse(e) for e in exps))
+        assume(validate(problem).admissible)
+        try:
+            cert = minimize(problem, FAST)
+        except EmptyFeasibleError:
+            return
+        if cert.route == "corner":
+            oriented, _ = problem.oriented()
+            point, _, _ = _multistart(problem, oriented, theta(oriented).value, FAST)
+            assert cert.value <= objective(problem, point) * (1.0 + 1e-12)
+
+    def test_corner_minimizes_the_weight_term_exactly_in_its_theta_range(self):
+        # the lemma behind _corner_is_optimal, on a grid of (x, y) in the box
+        def weight_term(x, y):
+            return -(y * math.log(x) + x * math.log(y)) / (x + y)
+
+        grid = [i / 64.0 for i in range(1, 65)]
+        for th in [i / 100.0 for i in range(1, 100)]:
+            at_corner = weight_term(th, 1.0 - th)
+            best = min(weight_term(th * a, (1.0 - th) * b) for a in grid for b in grid)
+            inside = CORNER_THETA_MIN <= th <= 1.0 - CORNER_THETA_MIN
+            assert (best >= at_corner - 1e-15) == inside
 
     def test_saturated_logistic_decodes_to_none(self, agmon_problem):
         # expit(40) rounds to 1.0, so beta1 = 1 and the convexity condition
         # for q1 cannot be solved
-        from gnsbound.optimizer import _point_from_z
-
         oriented, _ = agmon_problem.oriented()
         th = theta(oriented).value
         z = np.array([40.0, 0.0, 0.0, 0.0, 0.0])
-        assert _point_from_z(oriented, th, sigma_lower_bound(oriented), z) is None
+        assert _coords_from_z(oriented, th, sigma_lower_bound(oriented), z) is None
 
     def test_agmon_certificate(self, agmon_problem):
         cert = minimize(agmon_problem, FAST)
@@ -313,10 +391,17 @@ class TestSerialization:
     def test_round_trip(self, agmon_problem):
         cert = minimize(agmon_problem, FAST)
         doc = json.loads(certificate_json(cert))
+        assert doc["route"] == "corner"
         # a version 0.1.0 file also carried the alt_form_agrees flag
         old_doc = {**doc, "artifact_version": "0.1.0", "alt_form_agrees": True}
         for stored in (doc, old_doc):
             assert certificate_from_dict(stored) == cert
+        # files before 0.3.0 have no route; only the multistart wrote them
+        pre_route = {k: v for k, v in doc.items() if k != "route"}
+        loaded = certificate_from_dict({**pre_route, "artifact_version": "0.2.0"})
+        assert loaded.route == "multistart" and loaded.point == cert.point
+        with pytest.raises(ValueError):
+            certificate_from_dict({**doc, "route": "guess"})
 
     def test_stored_verdicts_are_not_trusted(self, agmon_problem):
         doc = json.loads(certificate_json(minimize(agmon_problem, FAST)))
