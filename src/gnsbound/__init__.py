@@ -33,7 +33,6 @@ from .exponents import (
     ValidationReport,
     theta,
     validate,
-    young_partner,
 )
 from .parabolic import (
     ParabolicParams,
@@ -45,10 +44,7 @@ from .parabolic import (
 from .feasible import (
     FeasibilityReport,
     SigmaPoint,
-    derive_q,
     in_sigma,
-    r1_interval,
-    r2_interval,
     sample_sigma,
     sigma_lower_bound,
 )
@@ -96,7 +92,6 @@ __all__ = [
     "ValidationReport",
     "theta",
     "validate",
-    "young_partner",
     "ParabolicParams",
     "a_par",
     "bound_at_time",
@@ -104,10 +99,7 @@ __all__ = [
     "young_constant",
     "FeasibilityReport",
     "SigmaPoint",
-    "derive_q",
     "in_sigma",
-    "r1_interval",
-    "r2_interval",
     "sample_sigma",
     "sigma_lower_bound",
     "BoundCertificate",

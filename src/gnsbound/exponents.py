@@ -92,11 +92,6 @@ def young_partner_recip(p_recip: float, r_recip: float) -> float:
     return min(1.0, max(0.0, recip_q))
 
 
-def young_partner(p: LebesgueExponent, r: LebesgueExponent) -> LebesgueExponent:
-    """The exponent q with 1/q + 1/r = 1 + 1/p, governing convolution bounds."""
-    return LebesgueExponent(young_partner_recip(p.recip, r.recip))
-
-
 @dataclass(frozen=True)
 class Theta:
     """Interpolation weight in (0, 1) solving the convex-combination identity."""
@@ -173,7 +168,10 @@ def validate(problem: GnsProblem, margin: float = 0.0) -> ValidationReport:
     """Check strict betweenness of X; report margins instead of raising.
 
     Admissibility uses strict inequalities with no epsilon; callers needing
-    robustness pass ``margin`` > 0.
+    robustness pass ``margin`` > 0.  It also requires the quotient
+    :func:`theta` computes to lie strictly in (0, 1) in the given labeling
+    and in the swapped one: where X meets an endpoint up to rounding, a
+    margin can be positive while that quotient rounds to 0 or 1.
     """
     x = problem.position()
     x1 = problem.position1()
@@ -181,8 +179,11 @@ def validate(problem: GnsProblem, margin: float = 0.0) -> ValidationReport:
     sign = math.copysign(1.0, x1 - x2) if x1 != x2 else 0.0
     lower = (x - x2) * sign
     upper = (x1 - x) * sign
+    weights_inside = x1 != x2 and (
+        0.0 < (x - x2) / (x1 - x2) < 1.0 and 0.0 < (x - x1) / (x2 - x1) < 1.0
+    )
     return ValidationReport(
-        admissible=(lower > margin and upper > margin),
+        admissible=(lower > margin and upper > margin and weights_inside),
         lower_margin=lower,
         upper_margin=upper,
         chain_reversed=(x1 - x2) < 0.0,
@@ -197,7 +198,5 @@ def theta(problem: GnsProblem) -> Theta:
             "target position does not lie strictly between the endpoint positions: "
             f"margins ({report.lower_margin!r}, {report.upper_margin!r})"
         )
-    value = (problem.position() - problem.position2()) / problem.chain_gap()
-    if not (0.0 < value < 1.0):
-        raise InadmissibleError(f"interpolation weight {value!r} outside (0, 1)")
-    return Theta(value)
+    # validate has checked that this quotient lies strictly in (0, 1)
+    return Theta((problem.position() - problem.position2()) / problem.chain_gap())

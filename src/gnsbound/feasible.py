@@ -1,6 +1,7 @@
 """Feasible set of interpolation parameters for the bound minimization.
 
-A candidate is a tuple (beta1, beta2, r1, r2, q1, q2, sigma).  The membership
+A candidate is a :class:`SigmaPoint`: seven floats (beta1, beta2, 1/r1,
+1/r2, 1/q1, 1/q2, sigma), the exponents as reciprocals.  The membership
 conditions come from splitting the inverse-Laplacian time integral at a pivot
 and applying the smoothing estimates on each side:
 
@@ -8,8 +9,8 @@ and applying the smoothing estimates on each side:
     integrable against the endpoint exponents;
   * beta1 in (theta, 1) and beta2 in (0, theta);
   * the quantities beta1/r1 and (1-beta2)/r2 lie strictly inside open
-    intervals depending on (sigma, beta); see :func:`r1_interval` and
-    :func:`r2_interval`;
+    intervals depending on (sigma, beta); see :func:`_r1_bounds` and
+    :func:`_r2_bounds`;
   * q1 and q2 are determined by the convexity conditions
     1/p = beta1/r1 + (1-beta1)/q1 = (1-beta2)/r2 + beta2/q2;
   * each of the four (output, input) exponent pairings admits a valid
@@ -18,17 +19,15 @@ and applying the smoothing estimates on each side:
 Orientation: the split construction assumes the directed chain (positive
 chain gap K).  :func:`in_sigma` and :func:`sample_sigma` relabel the problem
 internally via ``problem.oriented()`` and interpret the candidate's
-coordinates in the oriented labeling.  The interval and lower-bound helpers
-(:func:`sigma_lower_bound`, :func:`r1_interval`, :func:`r2_interval`,
-:func:`derive_q`) are label-literal: they evaluate their formulas on the
-problem exactly as given.
+coordinates in the oriented labeling.  :func:`sigma_lower_bound` is
+label-literal: it evaluates its formula on the problem exactly as given.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,10 +37,10 @@ from .errors import (
     OutOfRangeError,
     StructurallyEmptyError,
 )
-from .exponents import GnsProblem, LebesgueExponent, theta, validate
+from .exponents import GnsProblem, theta, validate
 
 # Equality constraints (the q-derivation identities) are checked to this
-# absolute tolerance; the membership margin parameter does not rescale it.
+# absolute tolerance; the membership margin does not rescale it.
 EQUALITY_TOL = 1e-12
 
 # Closed constraints (pairing direction at nonnegative orders) tolerate this
@@ -59,46 +58,30 @@ DEFAULT_MEMBERSHIP_MARGIN = 1e-9
 # The equality residuals among the membership margins.
 _EQUALITY_MARGINS = frozenset(("q1_consistency", "q2_consistency"))
 
-# A candidate as plain floats: (beta1, beta2, 1/r1, 1/r2, 1/q1, 1/q2, sigma).
-Coords = tuple[float, float, float, float, float, float, float]
 
-
-@dataclass(frozen=True)
-class SigmaPoint:
-    """A candidate (beta1, beta2, r1, r2, q1, q2, sigma), oriented labeling."""
+class SigmaPoint(NamedTuple):
+    """A candidate in the oriented labeling, exponents as reciprocals."""
 
     beta1: float
     beta2: float
-    r1: LebesgueExponent
-    r2: LebesgueExponent
-    q1: LebesgueExponent
-    q2: LebesgueExponent
+    r1_recip: float
+    r2_recip: float
+    q1_recip: float
+    q2_recip: float
     sigma: float
-
-    @classmethod
-    def from_coords(cls, coords: Coords) -> "SigmaPoint":
-        beta1, beta2, *recips, sigma = coords
-        return cls(beta1, beta2, *map(LebesgueExponent, recips), sigma)
-
-    @property
-    def coords(self) -> Coords:
-        """The candidate as plain floats, exponents as reciprocals."""
-        exps = (self.r1, self.r2, self.q1, self.q2)
-        return (self.beta1, self.beta2, *(e.recip for e in exps), self.sigma)
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Named signed distances to each membership constraint boundary.
 
-    ``ok`` requires every open-constraint margin to exceed the margin passed
-    to :func:`in_sigma`, every equality residual to stay within
-    ``EQUALITY_TOL`` (reported as margins named ``*_consistency``), and every
-    closed-constraint margin to be nonnegative up to float fuzz
-    (``CLOSED_TOL``).  The pairing constraints at nonnegative shifted orders
-    are closed: equal input and output exponents are valid there, and for
-    problems whose three exponents coincide the feasible set lies entirely on
-    that boundary.
+    ``ok`` requires every open-constraint margin to be positive, every
+    equality residual to stay within ``EQUALITY_TOL`` (reported as margins
+    named ``*_consistency``), and every closed-constraint margin to be
+    nonnegative up to float fuzz (``CLOSED_TOL``).  The pairing constraints
+    at nonnegative shifted orders are closed: equal input and output
+    exponents are valid there, and for problems whose three exponents
+    coincide the feasible set lies entirely on that boundary.
     """
 
     ok: bool
@@ -126,54 +109,27 @@ def sigma_lower_bound(problem: GnsProblem) -> float:
 def _r1_bounds(
     p_recip: float, upper1: float, upper2: float, beta1: float
 ) -> tuple[float, float]:
+    """Open-interval endpoints (lo, hi) for beta1/r1, unclamped."""
     return p_recip - (1.0 - beta1) * upper2, beta1 * upper1
 
 
 def _r2_bounds(
     p_recip: float, upper1: float, upper2: float, beta2: float
 ) -> tuple[float, float]:
+    """Open-interval endpoints (lo, hi) for (1-beta2)/r2, unclamped."""
     return p_recip - beta2 * upper1, (1.0 - beta2) * upper2
 
 
-def r1_interval(problem: GnsProblem, sigma: float, beta1: float) -> tuple[float, float]:
-    """Admissible range of beta1/r1, intersected with [0, beta1].
-
-    The returned pair may be empty (lo >= hi); emptiness is a value, not an
-    error.  The underlying open-interval endpoints are what the membership
-    margins are measured against.
-    """
-    lo, hi = _r1_bounds(problem.p.recip, *_shifted_uppers(problem, sigma), beta1)
-    return max(lo, 0.0), min(hi, beta1)
-
-
-def r2_interval(problem: GnsProblem, sigma: float, beta2: float) -> tuple[float, float]:
-    """Admissible range of (1-beta2)/r2, intersected with [0, 1-beta2]."""
-    lo, hi = _r2_bounds(problem.p.recip, *_shifted_uppers(problem, sigma), beta2)
-    return max(lo, 0.0), min(hi, 1.0 - beta2)
-
-
-def derive_q(
-    problem: GnsProblem,
-    beta1: float,
-    beta2: float,
-    r1: LebesgueExponent,
-    r2: LebesgueExponent,
-) -> tuple[LebesgueExponent, LebesgueExponent]:
-    """Solve the convexity conditions for (q1, q2).
+def _derive_q_recips(
+    p_recip: float, beta1: float, beta2: float, r1_recip: float, r2_recip: float
+) -> tuple[float, float]:
+    """Solve the convexity conditions for (1/q1, 1/q2).
 
     1/q1 = (1/p - beta1/r1) / (1 - beta1) and
     1/q2 = (1/p - (1-beta2)/r2) / beta2; raises if a derived reciprocal
     leaves [0, 1] by more than the equality tolerance, or unless
     beta1 < 1 and beta2 > 0 so that both conditions can be solved.
     """
-    q1, q2 = _derive_q_recips(problem.p.recip, beta1, beta2, r1.recip, r2.recip)
-    return LebesgueExponent(q1), LebesgueExponent(q2)
-
-
-def _derive_q_recips(
-    p_recip: float, beta1: float, beta2: float, r1_recip: float, r2_recip: float
-) -> tuple[float, float]:
-    """:func:`derive_q` on plain reciprocals."""
     if not (beta1 < 1.0 and beta2 > 0.0):
         raise OutOfRangeError(f"need beta1 < 1 and beta2 > 0, got ({beta1!r}, {beta2!r})")
     recip_q1 = (p_recip - beta1 * r1_recip) / (1.0 - beta1)
@@ -197,14 +153,11 @@ def _pairing_margin(out_recip: float, in_recip: float, order: float, d: int) -> 
 
 
 def feasibility_margins(
-    oriented: GnsProblem, theta_value: float, coords: Coords
+    oriented: GnsProblem, theta_value: float, point: SigmaPoint
 ) -> tuple[dict[str, float], frozenset[str]]:
-    """Membership margins and the names of the closed ones, oriented problem.
-
-    ``coords`` is a candidate as plain floats (see :attr:`SigmaPoint.coords`).
-    """
+    """Membership margins and the names of the closed ones, oriented problem."""
     p_recip = oriented.p.recip
-    b1, b2, r1, r2, q1, q2, sigma = coords
+    b1, b2, r1, r2, q1, q2, sigma = point
     x1 = b1 * r1
     x2 = (1.0 - b2) * r2
     y1 = (1.0 - b1) * q1
@@ -248,28 +201,27 @@ def margins_ok(margins: Mapping[str, float], closed: frozenset[str], margin: flo
     """The membership rule on margins from :func:`feasibility_margins`.
 
     Closed margins must be nonnegative up to ``CLOSED_TOL``, equality
-    residuals positive, and every other margin above ``margin``.
+    residuals positive, and every other margin above ``margin``.  Each test
+    is written so that a NaN margin fails it.
     """
     for name, value in margins.items():
         if name in closed:
-            if value < -CLOSED_TOL:
+            if not value >= -CLOSED_TOL:
                 return False
         elif name in _EQUALITY_MARGINS:
-            if value <= 0.0:
+            if not value > 0.0:
                 return False
-        elif value <= margin:
+        elif not value > margin:
             return False
     return True
 
 
-def in_sigma(
-    problem: GnsProblem, point: SigmaPoint, margin: float = 0.0
-) -> FeasibilityReport:
+def in_sigma(problem: GnsProblem, point: SigmaPoint) -> FeasibilityReport:
     """Membership test with signed margins; never raises on infeasibility.
 
     The problem is relabeled to the directed chain internally; the point's
-    coordinates are interpreted in the oriented labeling.  Equality residual
-    margins are compared against zero regardless of ``margin``.
+    coordinates are interpreted in the oriented labeling.  Open margins must
+    be positive.
     """
     oriented, _ = problem.oriented()
     report = validate(oriented)
@@ -282,10 +234,8 @@ def in_sigma(
             },
         )
     theta_value = theta(oriented).value
-    margins, closed = feasibility_margins(oriented, theta_value, point.coords)
-    return FeasibilityReport(
-        ok=margins_ok(margins, closed, margin), margins=margins, closed=closed
-    )
+    margins, closed = feasibility_margins(oriented, theta_value, point)
+    return FeasibilityReport(ok=margins_ok(margins, closed, 0.0), margins=margins, closed=closed)
 
 
 def candidate_box(
@@ -324,10 +274,9 @@ def candidate_box(
 
 def decode_candidate(
     oriented: GnsProblem, beta1: float, beta2: float, sigma: float, u1: float, u2: float
-) -> Coords | None:
+) -> SigmaPoint | None:
     """The candidate at fractions (u1, u2) of the two draw boxes, or None.
 
-    The candidate comes as plain floats (see :attr:`SigmaPoint.coords`).
     None when either box is empty or the convexity conditions leave no valid
     (q1, q2); membership is not checked here.
     """
@@ -342,24 +291,19 @@ def decode_candidate(
         q1, q2 = _derive_q_recips(oriented.p.recip, beta1, beta2, r1, r2)
     except OutOfRangeError:
         return None
-    return beta1, beta2, r1, r2, q1, q2, sigma
+    return SigmaPoint(beta1, beta2, r1, r2, q1, q2, sigma)
 
 
 def sample_sigma(
-    problem: GnsProblem,
-    n: int,
-    seed: int,
-    *,
-    sigma_window: float = DEFAULT_SIGMA_WINDOW,
-    margin: float = DEFAULT_MEMBERSHIP_MARGIN,
+    problem: GnsProblem, n: int, seed: int, *, sigma_window: float = DEFAULT_SIGMA_WINDOW
 ) -> list[SigmaPoint]:
     """Up to n feasible candidates, deterministically from the seed.
 
     Betas are drawn uniformly inside their buffered ranges, sigma is drawn
     log-uniformly in offset from its lower bound within ``sigma_window``, and
     the two ratio quantities uniformly inside their draw boxes; candidates
-    failing membership at ``margin`` are rejected.  Raises if no feasible
-    point is found within 100*n attempts.
+    failing membership at ``DEFAULT_MEMBERSHIP_MARGIN`` are rejected.  Raises
+    if no feasible point is found within 100*n attempts.
     """
     report = validate(problem)
     if not report.admissible:
@@ -404,11 +348,11 @@ def sample_sigma(
         b2 = beta2_lo + draws[1] * (beta2_hi - beta2_lo)
         sigma = lb + math.exp(log_off_lo + draws[2] * (log_off_hi - log_off_lo))
         # in_sigma's rule; the problem was checked admissible above
-        coords = decode_candidate(oriented, b1, b2, sigma, draws[3], draws[4])
-        if coords is not None and margins_ok(
-            *feasibility_margins(oriented, theta_value, coords), margin
+        point = decode_candidate(oriented, b1, b2, sigma, draws[3], draws[4])
+        if point is not None and margins_ok(
+            *feasibility_margins(oriented, theta_value, point), DEFAULT_MEMBERSHIP_MARGIN
         ):
-            points.append(SigmaPoint.from_coords(coords))
+            points.append(point)
 
     if not points:
         raise EmptyFeasibleError(

@@ -24,9 +24,12 @@ s + 2*sigma - s_j is an even integer >= 0.  Where :func:`_corner_is_optimal`
 holds, that is the answer.  Elsewhere the multistart runs simplex descent
 from sampled starts (seeded ``seed + start_index``) in logistic and softplus
 coordinates, and a feasible corner point still wins if it scores lower.
-Both decode with :func:`~gnsbound.feasible.decode_candidate`, apply the rule
-of :func:`~gnsbound.feasible.in_sigma` and score on plain floats, with no
-dataclass per evaluation; non-members score a large penalty.
+Each route searches the configured sigma window and widens it once by the
+rule of :func:`_widened_search`.  Both decode with
+:func:`~gnsbound.feasible.decode_candidate` into a
+:class:`~gnsbound.feasible.SigmaPoint`, the seven floats every kernel reads,
+apply the rule of :func:`~gnsbound.feasible.in_sigma` and score it;
+non-members score a large penalty.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -51,7 +55,6 @@ from .exponents import GnsProblem, LebesgueExponent, Theta, theta, validate
 from .feasible import (
     DEFAULT_SIGMA_WINDOW,
     SIGMA_OFFSET_MIN,
-    Coords,
     FeasibilityReport,
     SigmaPoint,
     candidate_box,
@@ -137,10 +140,10 @@ def _log_a(p_recip: float, r_recip: float, s: float, d: int) -> float:
 
 
 def _parts_at(
-    oriented: GnsProblem, theta_value: float, coords: Coords
+    oriented: GnsProblem, theta_value: float, point: SigmaPoint
 ) -> tuple[float, float, float, float]:
-    """(log C_small, log C_large, a, b) at a candidate given as plain floats."""
-    beta1, beta2, r1, r2, q1, q2, sigma = coords
+    """(log C_small, log C_large, a, b) at a candidate."""
+    beta1, beta2, r1, r2, q1, q2, sigma = point
     order1 = oriented.s + 2.0 * sigma - oriented.s1
     order2 = oriented.s + 2.0 * sigma - oriented.s2
     d = oriented.d
@@ -164,17 +167,17 @@ def _feasible_frame(problem: GnsProblem, point: SigmaPoint) -> tuple[GnsProblem,
     return oriented, theta(oriented).value
 
 
-def _log_objective_at(oriented: GnsProblem, theta_value: float, coords: Coords) -> float:
-    log_small, log_large, a, b = _parts_at(oriented, theta_value, coords)
+def _log_objective_at(oriented: GnsProblem, theta_value: float, point: SigmaPoint) -> float:
+    log_small, log_large, a, b = _parts_at(oriented, theta_value, point)
     log_p = log_small - math.log(a)
     log_q = log_large - math.log(b)
     w = a / (a + b)
-    return math.log(2.0) - math.lgamma(coords[6]) + (1.0 - w) * log_p + w * log_q
+    return math.log(2.0) - math.lgamma(point.sigma) + (1.0 - w) * log_p + w * log_q
 
 
 def objective(problem: GnsProblem, point: SigmaPoint) -> float:
     """Bound value at a feasible candidate (equalized two-term form)."""
-    return math.exp(_log_objective_at(*_feasible_frame(problem, point), point.coords))
+    return math.exp(_log_objective_at(*_feasible_frame(problem, point), point))
 
 
 def _oriented_norms(
@@ -194,7 +197,7 @@ def equalizing_t0(
     """
     if norm1 <= 0.0 or norm2 <= 0.0:
         raise InfeasibleError("norms must be positive")
-    log_small, log_large, a, b = _parts_at(*_feasible_frame(problem, point), point.coords)
+    log_small, log_large, a, b = _parts_at(*_feasible_frame(problem, point), point)
     n1, n2 = _oriented_norms(problem, norm1, norm2)
     log_t0 = (
         (point.beta1 - point.beta2) * (math.log(n1) - math.log(n2))
@@ -216,7 +219,7 @@ def two_term_bound(
     """The split bound at an arbitrary pivot t0 > 0 (valid for every t0)."""
     if t0 <= 0.0:
         raise InfeasibleError("pivot time must be positive")
-    log_small, log_large, a, b = _parts_at(*_feasible_frame(problem, point), point.coords)
+    log_small, log_large, a, b = _parts_at(*_feasible_frame(problem, point), point)
     n1, n2 = _oriented_norms(problem, norm1, norm2)
     log_n1, log_n2 = math.log(n1), math.log(n2)
     term_small = math.exp(
@@ -255,9 +258,9 @@ def _logit(u: float) -> float:
     return math.log(u / (1.0 - u))
 
 
-def _coords_from_z(
+def _point_from_z(
     oriented: GnsProblem, theta_value: float, lb: float, z: np.ndarray
-) -> Coords | None:
+) -> SigmaPoint | None:
     """Decode a transformed coordinate vector; None if no candidate exists."""
     u0, u1, _, u3, u4 = expit(z).tolist()
     return decode_candidate(
@@ -279,21 +282,23 @@ def _z_from_point(
     z[2] = _softplus_inv(max(point.sigma - lb - SIGMA_OFFSET_MIN, 1e-12))
     box1, box2 = candidate_box(oriented, point.sigma, point.beta1, point.beta2)
     for i, (box, x) in enumerate(
-        ((box1, point.beta1 * point.r1.recip), (box2, (1.0 - point.beta2) * point.r2.recip))
+        ((box1, point.beta1 * point.r1_recip), (box2, (1.0 - point.beta2) * point.r2_recip))
     ):
         lo, hi = box
         z[3 + i] = 0.0 if hi <= lo else _logit((x - lo) / (hi - lo))
     return z
 
 
-def _penalized_at(oriented: GnsProblem, theta_value: float, coords: Coords | None) -> float:
+def _penalized_at(
+    oriented: GnsProblem, theta_value: float, point: SigmaPoint | None
+) -> float:
     """Log objective at a decoded candidate; PENALTY unless it is a member."""
-    if coords is None:
+    if point is None:
         return PENALTY
-    if not margins_ok(*feasibility_margins(oriented, theta_value, coords), 0.0):
+    if not margins_ok(*feasibility_margins(oriented, theta_value, point), 0.0):
         return PENALTY
     try:
-        return _log_objective_at(oriented, theta_value, coords)
+        return _log_objective_at(oriented, theta_value, point)
     except (GnsboundError, ArithmeticError, ValueError):
         return PENALTY
 
@@ -302,7 +307,7 @@ def _penalized_log_objective(
     oriented: GnsProblem, theta_value: float, lb: float
 ) -> Callable[[np.ndarray], float]:
     def fn(z: np.ndarray) -> float:
-        return _penalized_at(oriented, theta_value, _coords_from_z(oriented, theta_value, lb, z))
+        return _penalized_at(oriented, theta_value, _point_from_z(oriented, theta_value, lb, z))
 
     return fn
 
@@ -408,16 +413,16 @@ def _golden_min(fn: Callable[[float], float], lo: float, hi: float) -> tuple[flo
 
 def _corner_search(
     oriented: GnsProblem, theta_value: float, lb: float, window: float
-) -> tuple[float, Coords] | None:
+) -> tuple[float, SigmaPoint] | None:
     """(log value, candidate) of the best feasible corner point, or None.
 
     Sigma is the best of the kinks and of a golden-section minimum per smooth
     piece, on the first ladder rung; then every rung is tried at that sigma.
     """
 
-    def at(sigma: float, eps: tuple[float, float]) -> tuple[float, Coords | None]:
-        coords = decode_candidate(oriented, 1.0 - eps[0], eps[1], sigma, 0.5, 0.5)
-        return _penalized_at(oriented, theta_value, coords), coords
+    def at(sigma: float, eps: tuple[float, float]) -> tuple[float, SigmaPoint | None]:
+        point = decode_candidate(oriented, 1.0 - eps[0], eps[1], sigma, 0.5, 0.5)
+        return _penalized_at(oriented, theta_value, point), point
 
     def along(sigma: float) -> float:
         return at(sigma, CORNER_LADDER[0])[0]
@@ -445,82 +450,71 @@ def _corner_is_optimal(oriented: GnsProblem, theta_value: float) -> bool:
     return forced and CORNER_THETA_MIN <= theta_value <= 1.0 - CORNER_THETA_MIN
 
 
+def _widened_search(
+    search: Callable[[float], tuple[float, SigmaPoint] | None], lb: float, window: float
+) -> tuple[float, SigmaPoint, float] | None:
+    """(log value, point, window) of ``search`` at the sigma window, or None.
+
+    The search runs once more at a 4x window when it finds nothing or its
+    best sigma lies within 1% of the upper edge; the better result is kept.
+    """
+    found = search(window)
+    if found is None or found[1].sigma > lb + 0.99 * window:
+        wide = search(4.0 * window)
+        if wide is not None and (found is None or wide[0] < found[0]):
+            return (*wide, 4.0 * window)
+    return None if found is None else (*found, window)
+
+
 def _run_pass(
     problem: GnsProblem,
     oriented: GnsProblem,
     theta_value: float,
     config: OptimizerConfig,
     sigma_window: float,
-) -> tuple[SigmaPoint, float, float]:
-    """All starts at a fixed sigma window; returns (best point, best log value,
-    minimum sampled log value)."""
+) -> tuple[float, SigmaPoint] | None:
+    """(log value, point) of the best of all starts at one sigma window.
+
+    None when a start samples no feasible point, as when the window lies
+    below the feasible sigma range; a provably empty set raises.
+    """
     lb = sigma_lower_bound(oriented)
     fn = _penalized_log_objective(oriented, theta_value, lb)
     best_point: SigmaPoint | None = None
     best_val = math.inf
     min_sampled = math.inf
     for start in range(config.starts):
-        points = sample_sigma(
-            problem,
-            config.sample_per_start,
-            config.seed + start,
-            sigma_window=sigma_window,
-        )
-        scored = [(_log_objective_at(oriented, theta_value, pt.coords), pt) for pt in points]
+        try:
+            points = sample_sigma(
+                problem, config.sample_per_start, config.seed + start, sigma_window=sigma_window
+            )
+        except StructurallyEmptyError:
+            raise
+        except EmptyFeasibleError:
+            return None
+        scored = [(_log_objective_at(oriented, theta_value, pt), pt) for pt in points]
         start_val, start_pt = min(scored, key=lambda t: t[0])
         min_sampled = min(min_sampled, start_val)
         z0 = _z_from_point(oriented, theta_value, lb, start_pt)
         z_best, f_best = _nelder_mead(fn, z0)
         if f_best < min(best_val, start_val):
-            coords = _coords_from_z(oriented, theta_value, lb, z_best)
-            if coords is not None:
-                best_point, best_val = SigmaPoint.from_coords(coords), f_best
+            point = _point_from_z(oriented, theta_value, lb, z_best)
+            if point is not None:
+                best_point, best_val = point, f_best
         elif start_val < best_val:
             best_point, best_val = start_pt, start_val
     assert best_point is not None
-    return best_point, best_val, min_sampled
-
-
-def _multistart(
-    problem: GnsProblem, oriented: GnsProblem, theta_value: float, config: OptimizerConfig
-) -> tuple[SigmaPoint, float, float]:
-    """Best point of the sampled multistart, its log value and its sigma window."""
-    lb = sigma_lower_bound(oriented)
-    window = config.sigma_window
-    try:
-        best_point, best_val, min_sampled = _run_pass(
-            problem, oriented, theta_value, config, window
-        )
-        expand = best_point.sigma > lb + 0.99 * window
-    except StructurallyEmptyError:
-        raise
-    except EmptyFeasibleError:
-        # the window may sit entirely below the feasible sigma range; the
-        # one allowed expansion then applies to the sampling stage itself
-        best_val = math.inf
-        best_point = None
-        min_sampled = math.inf
-        expand = True
-    if expand:
-        wide_point, wide_val, wide_sampled = _run_pass(
-            problem, oriented, theta_value, config, 4.0 * window
-        )
-        min_sampled = min(min_sampled, wide_sampled)
-        if wide_val < best_val:
-            best_point, best_val = wide_point, wide_val
-            window = 4.0 * window
-    assert best_point is not None
     assert best_val <= min_sampled + 1e-12
-    return best_point, best_val, window
+    return best_val, best_point
 
 
 def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> BoundCertificate:
     """Minimize the bound over the feasible set; deterministic given (problem, config).
 
-    Each search expands the sigma window once (by a factor 4) if its best
-    sigma lands within 1% of the upper edge, or if it finds nothing inside
-    the original window.  A provably empty feasible set propagates from the
-    multistart as :class:`StructurallyEmptyError`.
+    Each search widens the sigma window once (see :func:`_widened_search`).
+    A provably empty feasible set propagates from the multistart as
+    :class:`StructurallyEmptyError`; when neither search finds a point,
+    :class:`EmptyFeasibleError` is raised.
     """
     config = config or OptimizerConfig()
     report = validate(problem)
@@ -533,22 +527,20 @@ def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> Boun
     theta_oriented = theta(oriented).value
     lb = sigma_lower_bound(oriented)
 
-    window = config.sigma_window
-    corner = _corner_search(oriented, theta_oriented, lb, window)
-    if corner is None or corner[1][6] > lb + 0.99 * window:
-        wide = _corner_search(oriented, theta_oriented, lb, 4.0 * window)
-        if wide is not None and (corner is None or wide[0] < corner[0]):
-            corner, window = wide, 4.0 * window
-    route, best_point = "corner", None if corner is None else SigmaPoint.from_coords(corner[1])
-    if corner is None or not _corner_is_optimal(oriented, theta_oriented):
-        try:
-            ms_point, ms_val, ms_window = _multistart(problem, oriented, theta_oriented, config)
-        except EmptyFeasibleError:
-            if corner is None:
-                raise
-        else:
-            if corner is None or ms_val <= corner[0]:
-                route, best_point, window = "multistart", ms_point, ms_window
+    corner = partial(_corner_search, oriented, theta_oriented, lb)
+    route, best = "corner", _widened_search(corner, lb, config.sigma_window)
+    if best is None or not _corner_is_optimal(oriented, theta_oriented):
+        multistart = partial(_run_pass, problem, oriented, theta_oriented, config)
+        found = _widened_search(multistart, lb, config.sigma_window)
+        if found is not None and (best is None or found[0] <= best[0]):
+            route, best = "multistart", found
+    if best is None:
+        raise EmptyFeasibleError(
+            "no feasible point found by the corner search or the multistart "
+            f"({config.starts} starts x {config.sample_per_start} samples, seed "
+            f"{config.seed}, sigma window {config.sigma_window!r} and 4x that)"
+        )
+    _, best_point, window = best
 
     value = objective(problem, best_point)
     margins = in_sigma(problem, best_point)
@@ -589,10 +581,10 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
         "beta1": cert.point.beta1,
         "beta2": cert.point.beta2,
         "sigma": cert.point.sigma,
-        "r1_recip": repr(cert.point.r1.recip),
-        "r2_recip": repr(cert.point.r2.recip),
-        "q1_recip": repr(cert.point.q1.recip),
-        "q2_recip": repr(cert.point.q2.recip),
+        "r1_recip": repr(cert.point.r1_recip),
+        "r2_recip": repr(cert.point.r2_recip),
+        "q1_recip": repr(cert.point.q1_recip),
+        "q2_recip": repr(cert.point.q2_recip),
         "margins_ok": cert.margins.ok,
         "min_margin": cert.margins.min_margin,
         "sample_count": cert.sample_count,
@@ -629,15 +621,9 @@ def certificate_from_dict(doc: Mapping) -> BoundCertificate:
         p1=LebesgueExponent(float(doc["p1_recip"])),
         p2=LebesgueExponent(float(doc["p2_recip"])),
     )
-    point = SigmaPoint(
-        beta1=float(doc["beta1"]),
-        beta2=float(doc["beta2"]),
-        r1=LebesgueExponent(float(doc["r1_recip"])),
-        r2=LebesgueExponent(float(doc["r2_recip"])),
-        q1=LebesgueExponent(float(doc["q1_recip"])),
-        q2=LebesgueExponent(float(doc["q2_recip"])),
-        sigma=float(doc["sigma"]),
-    )
+    # each stored reciprocal must lie in [0, 1]
+    recips = (LebesgueExponent(float(doc[f"{e}_recip"])).recip for e in ("r1", "r2", "q1", "q2"))
+    point = SigmaPoint(float(doc["beta1"]), float(doc["beta2"]), *recips, float(doc["sigma"]))
     route = doc.get("route", "multistart")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")

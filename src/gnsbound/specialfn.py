@@ -22,13 +22,6 @@ from .errors import DomainError, SizeError
 MAX_BELL_ORDER = 20
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function on the positive half-line."""
-    if not (x > 0.0):
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def min_product_power(alpha: float, beta: float) -> float:
     """Minimum over lam in [0, 1] of lam**(-alpha) * (1-lam)**(-beta).
 

@@ -99,6 +99,20 @@ class TestBoundCommand:
         assert code == 4
         assert out == ""
         assert err.startswith("search exhausted:") and len(err.strip().splitlines()) == 1
+        assert "corner search" in err and "multistart" in err
+
+    def test_endpoint_up_to_rounding_exit_2(self, capsys):
+        # X = X1 = 2/3 exactly; rounding leaves a positive upper margin
+        third = repr(1.0 / 3.0)
+        code, out, err = run(
+            ["bound", "--d", "1", "--s", "0", "--s1", third, "--s2", third,
+             "--p", "3/2", "--p1", "1", "--p2", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("inadmissible parameters:")
+        assert err.endswith("margins (0.75, 1.1102230246251565e-16)\n")
 
     def test_structurally_empty_exit_2(self, capsys):
         code, _, err = run(
@@ -199,12 +213,17 @@ class TestVerifyCommands:
         cert_path = tmp_path / "cert.json"
         run(["bound", *AGMON_FLAGS, *FAST, "--seed", "42", "--json-out", str(cert_path)], capsys)
         doc = json.loads(cert_path.read_text())
-        doc.update(beta1=0.1, sigma=-5.0, value=1e9, margins_ok=True, theta=0.2)
         tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps(doc))
-        code, out, err = run(["verify", "gns", "--cert", str(tampered)], capsys)
-        assert code == 2
-        assert "InfeasibleError" in err and "PASS" not in out
+        edits = [
+            (dict(beta1=0.1, sigma=-5.0, value=1e9, margins_ok=True, theta=0.2), "InfeasibleError"),
+            # a stored reciprocal outside [0, 1]
+            *((dict(r1_recip=text), "OutOfRangeError") for text in ("1.5", "-0.1", "nan")),
+        ]
+        for edit, error in edits:
+            tampered.write_text(json.dumps({**doc, **edit}))
+            code, out, err = run(["verify", "gns", "--cert", str(tampered)], capsys)
+            assert code == 2
+            assert error in err and "PASS" not in out
 
     def test_verify_gns_missing_file(self, tmp_path, capsys):
         code, _, _ = run(["verify", "gns", "--cert", str(tmp_path / "nope.json")], capsys)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gnsbound.errors import InadmissibleError, OutOfRangeError
@@ -11,7 +11,7 @@ from gnsbound.exponents import (
     LebesgueExponent,
     theta,
     validate,
-    young_partner,
+    young_partner_recip,
 )
 
 INF = LebesgueExponent(0.0)
@@ -62,11 +62,11 @@ class TestLebesgueExponent:
 
 class TestYoungPartner:
     def test_examples(self):
-        assert young_partner(TWO, ONE) == TWO
-        q = young_partner(TWO, LebesgueExponent.parse("4/3"))
-        assert q.value == pytest.approx(4.0 / 3.0)
+        assert young_partner_recip(TWO.recip, ONE.recip) == TWO.recip
+        q_recip = young_partner_recip(TWO.recip, LebesgueExponent.parse("4/3").recip)
+        assert q_recip == pytest.approx(0.75)
         with pytest.raises(OutOfRangeError):
-            young_partner(ONE, TWO)
+            young_partner_recip(ONE.recip, TWO.recip)
 
 
 class TestThetaAndValidate:
@@ -101,6 +101,31 @@ class TestThetaAndValidate:
     def test_margin_parameter(self, agmon_problem):
         assert validate(agmon_problem, margin=0.4).admissible
         assert not validate(agmon_problem, margin=0.6).admissible
+
+    def test_endpoint_up_to_rounding_inadmissible(self):
+        # X = X1 = 2/3 exactly, but rounding leaves a positive upper margin
+        # while theta's quotient rounds to 1
+        third = 1.0 / 3.0
+        problem = GnsProblem(
+            1, 0.0, third, third, *(LebesgueExponent.parse(e) for e in ("3/2", "1", "4"))
+        )
+        report = validate(problem)
+        assert report.upper_margin == 2.0**-53 and report.lower_margin == 0.75
+        assert not report.admissible
+        with pytest.raises(InadmissibleError, match="margins"):
+            theta(problem)
+
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        orders=st.tuples(*[st.sampled_from([-0.5, 0.0, 1.0 / 3.0, 0.5, 1.0, 1.5, 2.0, 2.5])] * 3),
+        exps=st.tuples(*[st.sampled_from(["1", "3/2", "2", "3", "4", "inf"])] * 3),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_admitted_problems_have_theta_in_both_labelings(self, d, orders, exps):
+        problem = GnsProblem(d, *orders, *(LebesgueExponent.parse(e) for e in exps))
+        assume(validate(problem).admissible)
+        for labeled in (problem, problem.oriented()[0], problem.swapped()):
+            assert 0.0 < theta(labeled).value < 1.0
 
     def _random_admissible(self, rng) -> GnsProblem:
         while True:

@@ -1,14 +1,19 @@
+import math
+
 import pytest
 
 from gnsbound.errors import InadmissibleError, OutOfRangeError
 from gnsbound.exponents import GnsProblem, LebesgueExponent, theta, validate
 from gnsbound.feasible import (
-    SigmaPoint,
-    derive_q,
+    DEFAULT_MEMBERSHIP_MARGIN,
+    _derive_q_recips,
+    _r1_bounds,
+    _r2_bounds,
+    _shifted_uppers,
+    candidate_box,
     feasibility_margins,
     in_sigma,
-    r1_interval,
-    r2_interval,
+    margins_ok,
     sample_sigma,
     sigma_lower_bound,
 )
@@ -36,14 +41,12 @@ class TestSigmaLowerBound:
 
 class TestIntervals:
     def test_r1_hand_value(self, agmon_problem):
-        lo, hi = r1_interval(agmon_problem, 1.0, 0.75)
-        assert lo == pytest.approx(0.0)  # clamped from -0.625
-        assert hi == pytest.approx(0.75)  # clamped from 1.125
+        uppers = _shifted_uppers(agmon_problem, 1.0)
+        assert _r1_bounds(agmon_problem.p.recip, *uppers, 0.75) == pytest.approx((-0.625, 1.125))
 
     def test_r2_hand_value(self, agmon_problem):
-        lo, hi = r2_interval(agmon_problem, 1.0, 0.25)
-        assert lo == pytest.approx(0.0)  # clamped from -0.375
-        assert hi == pytest.approx(0.75)  # clamped from 1.875
+        uppers = _shifted_uppers(agmon_problem, 1.0)
+        assert _r2_bounds(agmon_problem.p.recip, *uppers, 0.25) == pytest.approx((-0.375, 1.875))
 
     def test_unclamped_nonempty_for_oriented(self, fractional_problem):
         oriented, _ = fractional_problem.oriented()
@@ -51,45 +54,49 @@ class TestIntervals:
         lb = sigma_lower_bound(oriented)
         for beta1 in (th + 0.05, th + 0.3, 0.95):
             for sigma in (lb + 0.01, lb + 1.0, lb + 5.0):
-                lo, hi = r1_interval(oriented, sigma, beta1)
-                assert lo < hi
+                uppers = _shifted_uppers(oriented, sigma)
+                lo, hi = _r1_bounds(oriented.p.recip, *uppers, beta1)
+                assert max(lo, 0.0) < min(hi, beta1)
 
     def test_empty_is_a_value(self):
         # extreme parameters can clamp the box away entirely
         problem = GnsProblem(1, 0.0, 0.0, 5.0, ONE, TWO, INF)
-        lo, hi = r2_interval(problem, 1e-6, 0.5)
+        _, (lo, hi) = candidate_box(problem, 1e-6, 0.75, 0.5)
         assert not lo < hi
 
 
 class TestDeriveQ:
     def test_collapse(self, fractional_problem):
         # ratio quantity equal to the target reciprocal collapses weights
-        r1 = LebesgueExponent(fractional_problem.p.recip)
-        q1, _ = derive_q(fractional_problem, 0.6, 0.3, r1, r1)
-        assert q1.recip == pytest.approx(fractional_problem.p.recip)
+        p_recip = fractional_problem.p.recip
+        q1, _ = _derive_q_recips(p_recip, 0.6, 0.3, p_recip, p_recip)
+        assert q1 == pytest.approx(p_recip)
 
     def test_infinite_target(self, agmon_problem):
-        q1, q2 = derive_q(agmon_problem, 0.75, 0.25, INF, INF)
-        assert q1 == INF and q2 == INF
+        assert _derive_q_recips(agmon_problem.p.recip, 0.75, 0.25, 0.0, 0.0) == (0.0, 0.0)
 
     def test_out_of_range(self, agmon_problem):
         # nonzero ratio with an infinite target forces a negative reciprocal
         with pytest.raises(OutOfRangeError):
-            derive_q(agmon_problem, 0.75, 0.25, INF, LebesgueExponent(0.4))
+            _derive_q_recips(agmon_problem.p.recip, 0.75, 0.25, 0.0, 0.4)
 
     def test_unsolvable_at_beta_endpoints(self, agmon_problem):
         # beta1 = 1 and beta2 = 0 leave a convexity condition without a
         # solution for its q
         for beta1, beta2 in ((1.0, 0.25), (0.75, 0.0)):
             with pytest.raises(OutOfRangeError):
-                derive_q(agmon_problem, beta1, beta2, INF, INF)
+                _derive_q_recips(agmon_problem.p.recip, beta1, beta2, 0.0, 0.0)
 
 
 class TestInSigma:
     def test_sampled_points_pass(self, agmon_problem, fractional_problem):
         for problem in (agmon_problem, fractional_problem):
+            oriented, _ = problem.oriented()
+            th = theta(oriented).value
             for point in sample_sigma(problem, 16, seed=7):
-                report = in_sigma(problem, point, margin=1e-9)
+                margins = feasibility_margins(oriented, th, point)
+                assert margins_ok(*margins, DEFAULT_MEMBERSHIP_MARGIN)
+                report = in_sigma(problem, point)
                 assert report.ok
                 assert report.min_margin > 0
 
@@ -97,15 +104,7 @@ class TestInSigma:
         point = sample_sigma(fractional_problem, 1, seed=3)[0]
         oriented, _ = fractional_problem.oriented()
         th = theta(oriented).value
-        bad = SigmaPoint(
-            beta1=th - 1e-3,  # below the weight threshold
-            beta2=point.beta2,
-            r1=point.r1,
-            r2=point.r2,
-            q1=point.q1,
-            q2=point.q2,
-            sigma=point.sigma,
-        )
+        bad = point._replace(beta1=th - 1e-3)  # below the weight threshold
         report = in_sigma(fractional_problem, bad)
         assert not report.ok
         assert report.margins["beta1_lower"] < 0
@@ -113,16 +112,14 @@ class TestInSigma:
     def test_sigma_at_bound_fails(self, agmon_problem):
         point = sample_sigma(agmon_problem, 1, seed=3)[0]
         oriented, _ = agmon_problem.oriented()
-        at_bound = SigmaPoint(
-            beta1=point.beta1,
-            beta2=point.beta2,
-            r1=point.r1,
-            r2=point.r2,
-            q1=point.q1,
-            q2=point.q2,
-            sigma=sigma_lower_bound(oriented),
-        )
+        at_bound = point._replace(sigma=sigma_lower_bound(oriented))
         assert not in_sigma(agmon_problem, at_bound).ok
+
+    @pytest.mark.parametrize("field", ["beta1", "sigma", "r1_recip"])
+    def test_nan_coordinate_fails(self, agmon_problem, field):
+        point = sample_sigma(agmon_problem, 1, seed=3)[0]
+        report = in_sigma(agmon_problem, point._replace(**{field: math.nan}))
+        assert not report.ok
 
     def test_time_exponent_identity(self, agmon_problem, fractional_problem):
         # the exponent of the pivot-time integrand collapses to
@@ -141,9 +138,9 @@ class TestInSigma:
                     sigma
                     - 1.0
                     - point.beta2
-                    * (0.5 * order1 + 0.5 * d * (oriented.p1.recip - point.q2.recip))
+                    * (0.5 * order1 + 0.5 * d * (oriented.p1.recip - point.q2_recip))
                     - (1.0 - point.beta2)
-                    * (0.5 * order2 + 0.5 * d * (oriented.p2.recip - point.r2.recip))
+                    * (0.5 * order2 + 0.5 * d * (oriented.p2.recip - point.r2_recip))
                 )
                 assert small == pytest.approx(
                     -1.0 + (th - point.beta2) * half_dk, abs=1e-10
@@ -152,9 +149,9 @@ class TestInSigma:
                     sigma
                     - 1.0
                     - point.beta1
-                    * (0.5 * order1 + 0.5 * d * (oriented.p1.recip - point.r1.recip))
+                    * (0.5 * order1 + 0.5 * d * (oriented.p1.recip - point.r1_recip))
                     - (1.0 - point.beta1)
-                    * (0.5 * order2 + 0.5 * d * (oriented.p2.recip - point.q1.recip))
+                    * (0.5 * order2 + 0.5 * d * (oriented.p2.recip - point.q1_recip))
                 )
                 assert large == pytest.approx(
                     -1.0 - (point.beta1 - th) * half_dk, abs=1e-10
@@ -163,7 +160,7 @@ class TestInSigma:
     def test_margins_structure(self, fractional_problem):
         point = sample_sigma(fractional_problem, 1, seed=9)[0]
         oriented, _ = fractional_problem.oriented()
-        margins, closed = feasibility_margins(oriented, theta(oriented).value, point.coords)
+        margins, closed = feasibility_margins(oriented, theta(oriented).value, point)
         expected_names = {
             "sigma",
             "beta1_lower",
@@ -233,8 +230,8 @@ class TestSampler:
         # the target exponent is infinite, so both ratio quantities vanish and
         # every exponent coordinate is forced to infinity
         for point in sample_sigma(agmon_problem, 8, seed=21):
-            assert point.r1 == INF and point.r2 == INF
-            assert point.q1 == INF and point.q2 == INF
+            assert point.r1_recip == point.r2_recip == 0.0
+            assert point.q1_recip == point.q2_recip == 0.0
 
     def test_nonemptiness_tracks_chain_gap_sign(self):
         # the unclamped interval is nonempty for every admissible problem
@@ -257,6 +254,8 @@ class TestSampler:
             th = theta(oriented).value
             lb = sigma_lower_bound(oriented)
             beta1 = th + 0.5 * (1 - th)
-            lo, hi = r1_interval(oriented, lb + 0.5, beta1)
+            uppers = _shifted_uppers(oriented, lb + 0.5)
+            lo, hi = _r1_bounds(oriented.p.recip, *uppers, beta1)
             unclamped_width = (beta1 - th) * oriented.chain_gap() + 2 * (lb + 0.5) / d
             assert unclamped_width > 0
+            assert hi - lo == pytest.approx(unclamped_width, abs=1e-12)

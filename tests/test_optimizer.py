@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from gnsbound.optimizer import (
     OptimizerConfig,
     _corner_is_optimal,
     _corner_search,
-    _coords_from_z,
     _log_objective_at,
-    _multistart,
     _parts_at,
     _penalized_log_objective,
+    _point_from_z,
+    _run_pass,
+    _widened_search,
     certificate_from_dict,
     certificate_json,
     certificate_to_dict,
@@ -59,15 +61,7 @@ class TestObjective:
 
     def test_infeasible_rejected(self, fractional_problem):
         point = sample_sigma(fractional_problem, 1, seed=4)[0]
-        bad = SigmaPoint(
-            beta1=point.beta1,
-            beta2=point.beta2,
-            r1=point.r1,
-            r2=point.r2,
-            q1=point.q1,
-            q2=point.q2,
-            sigma=point.sigma * 1e-9,
-        )
+        bad = point._replace(sigma=point.sigma * 1e-9)
         with pytest.raises(InfeasibleError):
             objective(fractional_problem, bad)
 
@@ -78,20 +72,11 @@ class TestObjective:
         base = sample_sigma(fractional_problem, 1, seed=8)[0]
         values = []
         for gap in (0.3, 0.1, 0.03, 0.01, 0.003, 0.001):
-            probe = SigmaPoint(
-                beta1=base.beta1,
+            probe = base._replace(
                 beta2=th * (1.0 - gap),
-                r1=base.r1,
-                r2=base.r2,
-                q1=LebesgueExponent(
-                    (oriented.p.recip - base.beta1 * base.r1.recip)
-                    / (1.0 - base.beta1)
-                ),
-                q2=LebesgueExponent(
-                    (oriented.p.recip - (1.0 - th * (1.0 - gap)) * base.r2.recip)
-                    / (th * (1.0 - gap))
-                ),
-                sigma=base.sigma,
+                q1_recip=(oriented.p.recip - base.beta1 * base.r1_recip) / (1.0 - base.beta1),
+                q2_recip=(oriented.p.recip - (1.0 - th * (1.0 - gap)) * base.r2_recip)
+                / (th * (1.0 - gap)),
             )
             values.append(objective(fractional_problem, probe))
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -113,7 +98,7 @@ class TestTwoTermCrossCheck:
         t0 = equalizing_t0(fractional_problem, point)
         oriented, _ = fractional_problem.oriented()
         th = theta(oriented).value
-        log_small, log_large, a, b = _parts_at(oriented, th, point.coords)
+        log_small, log_large, a, b = _parts_at(oriented, th, point)
 
         def log_term_difference(log_t: float) -> float:
             small = log_small + a * log_t - math.log(a)
@@ -134,7 +119,7 @@ class TestTwoTermCrossCheck:
         point = sample_sigma(fractional_problem, 1, seed=14)[0]
         oriented, swapped = fractional_problem.oriented()
         th = theta(oriented).value
-        _, _, a, b = _parts_at(oriented, th, point.coords)
+        _, _, a, b = _parts_at(oriented, th, point)
         t0 = equalizing_t0(fractional_problem, point, 1.0, 1.0)
         t0_scaled = equalizing_t0(fractional_problem, point, 3.0, 1.0)
         exponent = (point.beta1 - point.beta2) / (a + b)
@@ -153,15 +138,15 @@ def _log_objective_via_a_par(oriented, th, point):
     order2 = oriented.s + 2.0 * point.sigma - oriented.s2
     d = oriented.d
 
-    def log_a(out, inp, order):
-        return math.log(a_par(ParabolicParams(out, inp, order, d)))
+    def log_a(out_recip, inp, order):
+        return math.log(a_par(ParabolicParams(LebesgueExponent(out_recip), inp, order, d)))
 
-    log_small = point.beta2 * log_a(point.q2, oriented.p1, order1) + (
+    log_small = point.beta2 * log_a(point.q2_recip, oriented.p1, order1) + (
         1.0 - point.beta2
-    ) * log_a(point.r2, oriented.p2, order2)
-    log_large = point.beta1 * log_a(point.r1, oriented.p1, order1) + (
+    ) * log_a(point.r2_recip, oriented.p2, order2)
+    log_large = point.beta1 * log_a(point.r1_recip, oriented.p1, order1) + (
         1.0 - point.beta1
-    ) * log_a(point.q1, oriented.p2, order2)
+    ) * log_a(point.q1_recip, oriented.p2, order2)
     half_dk = 0.5 * d * oriented.chain_gap()
     a = (th - point.beta2) * half_dk
     b = (point.beta1 - th) * half_dk
@@ -190,12 +175,11 @@ class TestPenalizedObjectiveParity:
         lb = sigma_lower_bound(oriented)
         zv = np.array(z)
         got = _penalized_log_objective(oriented, th, lb)(zv)
-        coords = _coords_from_z(oriented, th, lb, zv)
-        point = None if coords is None else SigmaPoint.from_coords(coords)
+        point = _point_from_z(oriented, th, lb, zv)
         if point is None or not in_sigma(problem, point).ok:
             assert got == PENALTY
         else:
-            assert got == _log_objective_at(oriented, th, coords)
+            assert got == _log_objective_at(oriented, th, point)
             assert got == _log_objective_via_a_par(oriented, th, point)
 
 
@@ -230,7 +214,7 @@ class TestMinimize:
         cert = minimize(problem)
         assert cert.route == "multistart"
         assert cert.value == 3.69729802092843
-        assert cert.point.coords == (
+        assert cert.point == (
             0.9999999999972935, 0.33333333511623553, 0.3333333333342355, 0.0,
             0.0, 0.9999999946512934, 0.49999999999999994,
         )
@@ -284,8 +268,10 @@ class TestMinimize:
             return
         if cert.route == "corner":
             oriented, _ = problem.oriented()
-            point, _, _ = _multistart(problem, oriented, theta(oriented).value, FAST)
-            assert cert.value <= objective(problem, point) * (1.0 + 1e-12)
+            multistart = partial(_run_pass, problem, oriented, theta(oriented).value, FAST)
+            found = _widened_search(multistart, sigma_lower_bound(oriented), FAST.sigma_window)
+            assert found is not None
+            assert cert.value <= objective(problem, found[1]) * (1.0 + 1e-12)
 
     def test_corner_minimizes_the_weight_term_exactly_in_its_theta_range(self):
         # the lemma behind _corner_is_optimal, on a grid of (x, y) in the box
@@ -305,7 +291,7 @@ class TestMinimize:
         oriented, _ = agmon_problem.oriented()
         th = theta(oriented).value
         z = np.array([40.0, 0.0, 0.0, 0.0, 0.0])
-        assert _coords_from_z(oriented, th, sigma_lower_bound(oriented), z) is None
+        assert _point_from_z(oriented, th, sigma_lower_bound(oriented), z) is None
 
     def test_agmon_certificate(self, agmon_problem):
         cert = minimize(agmon_problem, FAST)
@@ -354,8 +340,8 @@ class TestMinimize:
         points = sample_sigma(problem, 8, seed=3)
         for point in points:
             # pinned to the diagonal up to one rounding of the degenerate box
-            for e in (point.r1, point.q1, point.r2, point.q2):
-                assert e.recip == pytest.approx(0.5, abs=1e-12)
+            for recip in (point.r1_recip, point.q1_recip, point.r2_recip, point.q2_recip):
+                assert recip == pytest.approx(0.5, abs=1e-12)
             assert point.sigma > 0.5  # keeps the shifted orders nonnegative
         cert = minimize(problem, FAST)
         assert cert.margins.ok
@@ -370,6 +356,25 @@ class TestMinimize:
         )
         assert cert.sigma_window == pytest.approx(0.2)
         assert cert.margins.ok
+
+    def test_widened_search_keeps_the_better_window(self):
+        # searched again at 4x when nothing is found or the best sigma is
+        # within 1% of the upper edge; the wide result replaces the narrow one
+        # only when it scores strictly lower
+        def at(sigma):
+            return SigmaPoint(0.9, 0.1, 0.0, 0.0, 0.0, 0.0, sigma)
+
+        inner, edge, wide = (1.0, at(5.0)), (1.0, at(9.95)), (0.5, at(30.0))
+        cases = [
+            ({10.0: inner}, (*inner, 10.0)),  # not widened: a 40 lookup would fail
+            ({10.0: edge, 40.0: wide}, (*wide, 40.0)),
+            ({10.0: edge, 40.0: (2.0, at(30.0))}, (*edge, 10.0)),
+            ({10.0: edge, 40.0: None}, (*edge, 10.0)),
+            ({10.0: None, 40.0: wide}, (*wide, 40.0)),
+            ({10.0: None, 40.0: None}, None),
+        ]
+        for results, want in cases:
+            assert _widened_search(results.__getitem__, 0.0, 10.0) == want
 
     def test_structurally_empty_propagates(self):
         from gnsbound.errors import StructurallyEmptyError

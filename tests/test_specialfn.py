@@ -10,27 +10,9 @@ from gnsbound.specialfn import (
     bell_via_generating_function,
     beta_integral,
     heat_deriv_l1_bound,
-    log_gamma,
     min_product_power,
     partition_multiplicity_vectors,
 )
-
-
-class TestLogGamma:
-    def test_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-1.5)
-
-    def test_recurrence(self):
-        for x in (0.1, 0.5, 1.5, 10.0, 50.0):
-            assert abs(log_gamma(x + 1.0) - log_gamma(x) - math.log(x)) <= 1e-12
 
 
 class TestMinProductPower:
