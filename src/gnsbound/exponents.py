@@ -153,25 +153,22 @@ class ValidationReport:
     Margins are measured in the orientation that makes them positive for
     admissible problems: ``lower_margin`` is the distance from X to the
     endpoint it must exceed and ``upper_margin`` the distance to the endpoint
-    it must stay below.  ``chain_reversed`` records whether the endpoints as
-    given are in the opposite order from the directed chain (the library
-    relabels internally in that case).
+    it must stay below.
     """
 
     admissible: bool
     lower_margin: float
     upper_margin: float
-    chain_reversed: bool
 
 
-def validate(problem: GnsProblem, margin: float = 0.0) -> ValidationReport:
+def validate(problem: GnsProblem) -> ValidationReport:
     """Check strict betweenness of X; report margins instead of raising.
 
-    Admissibility uses strict inequalities with no epsilon; callers needing
-    robustness pass ``margin`` > 0.  It also requires the quotient
-    :func:`theta` computes to lie strictly in (0, 1) in the given labeling
-    and in the swapped one: where X meets an endpoint up to rounding, a
-    margin can be positive while that quotient rounds to 0 or 1.
+    Admissibility uses strict inequalities with no epsilon.  It also
+    requires the quotient :func:`theta` computes to lie strictly in (0, 1)
+    in the given labeling and in the swapped one: where X meets an endpoint
+    up to rounding, a margin can be positive while that quotient rounds to 0
+    or 1.
     """
     x = problem.position()
     x1 = problem.position1()
@@ -183,10 +180,9 @@ def validate(problem: GnsProblem, margin: float = 0.0) -> ValidationReport:
         0.0 < (x - x2) / (x1 - x2) < 1.0 and 0.0 < (x - x1) / (x2 - x1) < 1.0
     )
     return ValidationReport(
-        admissible=(lower > margin and upper > margin and weights_inside),
+        admissible=(lower > 0.0 and upper > 0.0 and weights_inside),
         lower_margin=lower,
         upper_margin=upper,
-        chain_reversed=(x1 - x2) < 0.0,
     )
 
 

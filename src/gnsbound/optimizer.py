@@ -72,8 +72,9 @@ from .parabolic import _log_a_par
 from .parabolic import a_par  # noqa: F401
 
 PENALTY = 1e100
-# Simplex descent per start: iteration cap, and the spread of log values
-# across the simplex at which it stops.
+# Simplex descent per start: initial edge length in z, iteration cap, and the
+# spread of log values across the simplex at which it stops.
+SIMPLEX_STEP = 0.25
 MAX_ITERS = 2000
 REL_TOL = 1e-9
 # A loaded certificate's stored value must match the recomputed bound to this.
@@ -313,10 +314,7 @@ def _penalized_log_objective(
 
 
 def _nelder_mead(
-    fn: Callable[[np.ndarray], float],
-    z0: np.ndarray,
-    *,
-    step: float = 0.25,
+    fn: Callable[[np.ndarray], float], z0: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Standard simplex descent; returns the best vertex ever visited.
 
@@ -325,7 +323,7 @@ def _nelder_mead(
     n = len(z0)
     simplex = np.tile(z0, (n + 1, 1))
     for i in range(n):
-        simplex[i + 1, i] += step
+        simplex[i + 1, i] += SIMPLEX_STEP
     values = [fn(v) for v in simplex]
     best_i = min(range(n + 1), key=lambda i: values[i])
     best_z, best_f = simplex[best_i].copy(), values[best_i]

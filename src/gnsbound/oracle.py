@@ -38,9 +38,14 @@ Every norm is evaluated on two rules of different order and panel density;
 their disagreement is the error estimate, and exceeding the requested target
 raises :class:`AccuracyError` rather than degrading silently.
 
-Evaluations are independent of one another; the module-level rule and
-kernel-matrix caches are pure memoization (results never depend on cache
-state) and rely on the interpreter's global lock for safe concurrent use.
+The rule is scale-covariant: the heat flow at parameter b is a dilation by
+sqrt(b), and every radius, frequency, panel edge and the stub scale with it
+(r_split = 16*sqrt(b), frequencies in units of 1/sqrt(b)).  So the products
+r*rho, and the kernel tables built from them, do not depend on b; they are
+cached once per (d, level, node set) and a profile only rescales nodes and
+weights.  The caches are pure memoization (results never depend on cache
+state or call order) and rely on the interpreter's global lock for safe
+concurrent use.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, gammasgn, j0
 
 from .errors import AccuracyError, DomainError
@@ -128,11 +132,15 @@ def _panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _freq_edges(b: float, r_max: float, scale: float) -> tuple[float, np.ndarray]:
-    """Panel edges for the half-line frequency integral, plus the stub size."""
-    cutoff = math.sqrt(_FREQ_CUTOFF / b)
-    eps = min(0.3 / math.sqrt(b + r_max * r_max), 0.05 * cutoff)
-    w_max = scale * min(1.2 / math.sqrt(b), 8.0 / max(r_max, 1e-12))
+def _freq_edges(scale: float) -> tuple[float, np.ndarray]:
+    """Panel edges for the half-line frequency integral, plus the stub size.
+
+    In units of 1/sqrt(b): the cutoff, the stub and the widest panel all
+    scale like 1/sqrt(b), the last two through r_split = 16*sqrt(b).
+    """
+    cutoff = math.sqrt(_FREQ_CUTOFF)
+    eps = 0.3 / math.sqrt(1.0 + _SPLIT_FACTOR**2)
+    w_max = scale * min(1.2, 8.0 / _SPLIT_FACTOR)
     edges = [eps]
     width = eps
     while edges[-1] < cutoff:
@@ -149,56 +157,57 @@ def _kernel_values(d: int, z: np.ndarray) -> np.ndarray:
     return np.sinc(z / math.pi)
 
 
-# Norm evaluations recur over the same (d, b) with different orders s and
-# output exponents p; the frequency rules and the dense kernel matrices
-# depend only on (d, b, level, node kind), so both are cached.  The kernel
-# cache is a dict keyed by the caller, not an lru_cache, because the radii
-# array it is built from is not hashable.  It is bounded: entries are large
-# and locality follows (d, b).
-_KERNEL_MATRIX_CACHE: dict[tuple, np.ndarray] = {}
-_KERNEL_CACHE_MAX = 8
+# (scale, Gauss-Legendre order) per accuracy level.
+_LEVELS = {"coarse": (1.0, 16), "fine": (0.7, 22)}
+
+_SCOUT_GRID = 1025
 
 
-@functools.lru_cache(maxsize=64)
-def _freq_rule(
-    b: float, r_max: float, scale: float, order: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    eps, edges = _freq_edges(b, r_max, scale)
-    rho, w = _panel_rule(edges, order)
-    return eps, rho, w
+@functools.lru_cache(maxsize=None)
+def _freq_rule(level: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """Stub size, frequency nodes and weights, in units of 1/sqrt(b)."""
+    scale, order = _LEVELS[level]
+    eps, edges = _freq_edges(scale)
+    return (eps, *_panel_rule(edges, order))
 
 
-def _kernel_matrix(d: int, r: np.ndarray, rho: np.ndarray, key: tuple) -> np.ndarray:
-    if key not in _KERNEL_MATRIX_CACHE:
-        _KERNEL_MATRIX_CACHE[key] = _kernel_values(d, np.outer(r, rho))
-        while len(_KERNEL_MATRIX_CACHE) > _KERNEL_CACHE_MAX:
-            _KERNEL_MATRIX_CACHE.pop(next(iter(_KERNEL_MATRIX_CACHE)))
-    return _KERNEL_MATRIX_CACHE[key]
+@functools.lru_cache(maxsize=None)
+def _radial_rule(level: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panel edges, nodes and weights on (0, r_split), in units of sqrt(b)."""
+    scale, order = _LEVELS[level]
+    n_panels = math.ceil(_SPLIT_FACTOR / (0.8 * scale))
+    edges = np.linspace(0.0, _SPLIT_FACTOR, n_panels + 1)
+    return (edges, *_panel_rule(edges, order))
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_matrix(d: int, level: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Radial nodes y in units of sqrt(b) and the kernel matrix K(y x).
+
+    ``kind`` is ``"lp"`` for the nodes of the radial rule or ``"scout"`` for
+    the zero-search grid.  Since r*rho = y*x, one table serves every b.
+    """
+    if kind == "lp":
+        y = _radial_rule(level)[1]
+    else:
+        y = np.linspace(0.0, _SPLIT_FACTOR, _SCOUT_GRID)
+    return y, _kernel_values(d, np.outer(y, _freq_rule(level)[1]))
 
 
 class _RadialProfile:
     """Evaluator for h(r) at a fixed quadrature level, reusable across r."""
 
-    def __init__(
-        self,
-        f: RadialTestFunction,
-        s: float,
-        t: float,
-        r_max: float,
-        *,
-        scale: float,
-        order: int,
-    ):
+    def __init__(self, f: RadialTestFunction, s: float, t: float, level: str):
         self.d = f.d
+        self.level = level
         self.b = t + 0.25 / f.width
+        self.root_b = math.sqrt(self.b)
         self.cf = (math.pi / f.width) ** (0.5 * f.d)
-        self.scale = scale
-        self.order = order
-        self.r_max = r_max
-        eps, rho, w = _freq_rule(self.b, r_max, scale, order)
-        self.rho = rho
+        eps, x, w = _freq_rule(level)
+        self.eps = eps / self.root_b
+        self.rho = rho = x / self.root_b
         self.weights = (
-            w * self.cf * rho ** (s + f.d - 1) * np.exp(-self.b * rho * rho)
+            (w / self.root_b) * self.cf * rho ** (s + f.d - 1) * np.exp(-self.b * rho * rho)
         )
         # The integral over (0, eps) from the joint even power series of the
         # Gaussian factor and the kernel, as a polynomial in r^2: coefficient
@@ -206,30 +215,28 @@ class _RadialProfile:
         n = np.arange(_STUB_TERMS + 1)
         exp_coeff = np.array([(-self.b) ** i / math.factorial(i) for i in n])
         power = s + f.d + 2.0 * n
-        moments = eps**power / power
+        moments = self.eps**power / power
         self.stub = self.cf * np.array(
             [_KERNEL_SERIES[f.d](j) * (exp_coeff[: n.size - j] @ moments[j:]) for j in n]
         )
 
-    def __call__(self, r: np.ndarray, node_kind: str | None = None) -> np.ndarray:
-        """Profile at the radii r.
-
-        ``node_kind`` names a node set that is a pure function of (d, b,
-        level); its kernel matrix is then cached and reused.
-        """
-        r = np.asarray(r, dtype=float)
-        if node_kind is None:
-            kernel = _kernel_values(self.d, np.outer(r, self.rho))
-        else:
-            key = (self.d, self.b, self.r_max, self.scale, self.order, node_kind)
-            kernel = _kernel_matrix(self.d, r, self.rho, key)
+    def _evaluate(self, kernel: np.ndarray, r: np.ndarray) -> np.ndarray:
         stub = np.polynomial.polynomial.polyval(r * r, self.stub)
         return _KERNEL_PREFACTOR[self.d] * (kernel @ self.weights + stub)
 
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """Profile at arbitrary radii r."""
+        r = np.asarray(r, dtype=float)
+        return self._evaluate(_kernel_values(self.d, np.outer(r, self.rho)), r)
 
-def _tail_coefficients(
-    cf: float, s: float, d: int, b: float, kmax: int = _TAIL_KMAX
-) -> np.ndarray | None:
+    def on_nodes(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """Radii sqrt(b)*y of the cached node set ``kind`` and h there."""
+        y, kernel = _kernel_matrix(self.d, self.level, kind)
+        r = self.root_b * y
+        return r, self._evaluate(kernel, r)
+
+
+def _tail_coefficients(cf: float, s: float, d: int, b: float) -> np.ndarray | None:
     """Signed coefficients of the far-field expansion, or None when it vanishes.
 
     The expansion is identically zero when s/2 is a nonnegative integer (the
@@ -237,7 +244,7 @@ def _tail_coefficients(
     """
     if s >= 0.0 and 0.5 * s == math.floor(0.5 * s):
         return None
-    k = np.arange(kmax)
+    k = np.arange(_TAIL_KMAX)
     pole_arg = -0.5 * s - k
     log_mag = (
         math.log(cf)
@@ -288,18 +295,13 @@ def _tail_lp_integral(
     return octaves + closing
 
 
-# (scale, Gauss-Legendre order) per accuracy level.
-_LEVELS = {"coarse": (1.0, 16), "fine": (0.7, 22)}
-
-_SCOUT_GRID = 1025
-
 # A scout sign change whose two values both lie below this fraction of the
 # grid's largest |h| is quadrature roundoff, not a zero: where a Gaussian
 # tail has decayed below it, the computed profile flips sign at random.
 _ZERO_FLOOR = 1e-12
 
 
-def _profile_zeros(profile: _RadialProfile, r_split: float) -> list[float]:
+def _profile_zeros(profile: _RadialProfile) -> list[float]:
     """Sign-change locations of the profile on (0, r_split), by bisection.
 
     Needed because |h|^p is only C^1 at zeros of h unless p is an even
@@ -307,8 +309,7 @@ def _profile_zeros(profile: _RadialProfile, r_split: float) -> list[float]:
     edges instead.  Sign changes between values below ``_ZERO_FLOOR`` times
     the largest scout value are ignored.
     """
-    scout = np.linspace(0.0, r_split, _SCOUT_GRID)
-    values = profile(scout, "scout")
+    scout, values = profile.on_nodes("scout")
     zeros: list[float] = []
     magnitude = np.abs(values)
     above_floor = np.maximum(magnitude[:-1], magnitude[1:]) >= _ZERO_FLOOR * magnitude.max()
@@ -330,11 +331,10 @@ def _profile_zeros(profile: _RadialProfile, r_split: float) -> list[float]:
 def _norm_at_level(
     f: RadialTestFunction, s: float, t: float, p: LebesgueExponent, level: str
 ) -> float:
-    scale, order = _LEVELS[level]
     d = f.d
-    b = t + 0.25 / f.width
-    r_split = _SPLIT_FACTOR * math.sqrt(b)
-    profile = _RadialProfile(f, s, t, r_split, scale=scale, order=order)
+    profile = _RadialProfile(f, s, t, level)
+    b, root_b = profile.b, profile.root_b
+    r_split = _SPLIT_FACTOR * root_b
     coeffs = _tail_coefficients(profile.cf, s, d, b)
 
     if p.recip == 0.0:
@@ -346,18 +346,18 @@ def _norm_at_level(
         return peak
 
     p_value = p.value
-    n_panels = max(8, int(math.ceil(r_split / (0.8 * math.sqrt(b) * scale))))
-    edges = np.linspace(0.0, r_split, n_panels + 1)
     p_even = 0.5 * p_value == math.floor(0.5 * p_value)
+    edges, _, weights = _radial_rule(level)
     if p_even or s == 0.0:
         # |h|^p is smooth (even power, or a positive profile): cached nodes
-        nodes, weights = _panel_rule(edges, order)
-        h = profile(nodes, "lp")
+        nodes, h = profile.on_nodes("lp")
+        weights = root_b * weights
     else:
-        zeros = _profile_zeros(profile, r_split)
+        edges = root_b * edges
+        zeros = _profile_zeros(profile)
         if zeros:
             edges = np.unique(np.concatenate([edges, np.asarray(zeros)]))
-        nodes, weights = _panel_rule(edges, order)
+        nodes, weights = _panel_rule(edges, _LEVELS[level][1])
         h = profile(nodes)
     habs = np.abs(h)
     h_scale = float(habs.max())
@@ -412,6 +412,8 @@ def frequency_space_l2_norm(f: RadialTestFunction, s: float, t: float) -> float:
     d = f.d
     if 2.0 * s + d <= 0.0:
         raise DomainError(f"need s > -d/2 for the L2 norm, got s={s!r}")
+    from scipy.integrate import quad  # lazily: see young_extremizer_check
+
     b = t + 0.25 / f.width
     cf = (math.pi / f.width) ** (0.5 * d)
     cutoff = math.sqrt(_FREQ_CUTOFF / b)
@@ -436,12 +438,11 @@ class SweepReport:
     """Rows of (parameters..., measured, bound, slack) with slack relative.
 
     slack = (bound - measured)/bound; a row violates domination when
-    slack < -tolerance.
+    slack < -DOMINANCE_RTOL.
     """
 
     header: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
-    tolerance: float = DOMINANCE_RTOL
 
     @property
     def slacks(self) -> list[float]:
@@ -453,10 +454,10 @@ class SweepReport:
 
     @property
     def ok(self) -> bool:
-        return all(slack >= -self.tolerance for slack in self.slacks)
+        return all(slack >= -DOMINANCE_RTOL for slack in self.slacks)
 
     def violations(self) -> list[tuple]:
-        return [row for row in self.rows if row[-1] < -self.tolerance]
+        return [row for row in self.rows if row[-1] < -DOMINANCE_RTOL]
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -496,39 +497,21 @@ def default_parabolic_grid(dims: Iterable[int] = (1, 2, 3)) -> list[ParabolicCas
     return cases
 
 
-def check_parabolic(
-    grid: Iterable[ParabolicCase],
-    widths: Sequence[float],
-    *,
-    tolerance: float = DOMINANCE_RTOL,
-) -> SweepReport:
+def check_parabolic(grid: Iterable[ParabolicCase], widths: Sequence[float]) -> SweepReport:
     """Measure ||grad^s e^{t*Lap} f||_p / ||f||_r against the closed-form bound.
 
-    Rows are emitted in grid order; internally the evaluations group by
-    (d, t, width) so the cached kernel matrices are reused across the order
-    and exponent loops.
+    Rows are emitted in grid order, widths innermost.
     """
-    entries = [
-        (d, s, r, p, t, width)
-        for d, s, r, p, t in grid
-        for width in widths
-    ]
-    results: dict[int, tuple] = {}
-    by_locality = sorted(
-        range(len(entries)), key=lambda i: (entries[i][0], entries[i][4], entries[i][5])
-    )
-    for i in by_locality:
-        d, s, r, p, t, width = entries[i]
-        bound = bound_at_time(ParabolicParams(p, r, s, d), t)
-        f = RadialTestFunction(width, d)
-        measured = fractional_heat_norm(f, s, t, p) / gaussian_lp_norm(width, d, r)
-        slack = (bound - measured) / bound
-        results[i] = (d, s, r, p, t, width, float(measured), bound, float(slack))
     report = SweepReport(
-        header=("d", "s", "r", "p", "t", "width", "measured", "bound", "slack"),
-        tolerance=tolerance,
+        header=("d", "s", "r", "p", "t", "width", "measured", "bound", "slack")
     )
-    report.rows.extend(results[i] for i in range(len(entries)))
+    for d, s, r, p, t in grid:
+        for width in widths:
+            bound = bound_at_time(ParabolicParams(p, r, s, d), t)
+            f = RadialTestFunction(width, d)
+            measured = fractional_heat_norm(f, s, t, p) / gaussian_lp_norm(width, d, r)
+            slack = (bound - measured) / bound
+            report.rows.append((d, s, r, p, t, width, float(measured), bound, float(slack)))
     return report
 
 
@@ -545,21 +528,18 @@ def check_gns(
     certificate: BoundCertificate,
     widths: Sequence[float],
     dilations: Sequence[float],
-    *,
-    tolerance: float = DOMINANCE_RTOL,
 ) -> SweepReport:
     """Measured interpolation ratios against a certificate's bound value.
 
     Dilation lam rescales a base width a to a*lam^2 (the Gaussian analogue of
-    f(x) -> f(lam*x)); the ratio is scale-free, so rows sharing a base width
-    double as a dilation-invariance check of the quadrature pipeline.
+    f(x) -> f(lam*x)); the ratio is scale-free.  The quadrature rule scales
+    with sqrt(b), so rows sharing a base width agree up to rounding by
+    construction: they check the scaling of nodes and weights and the
+    closed-form Lp factors, not the discretization.
     """
     problem = certificate.problem
     theta_value = certificate.theta.value
-    report = SweepReport(
-        header=("width", "dilation", "measured", "bound", "slack"),
-        tolerance=tolerance,
-    )
+    report = SweepReport(header=("width", "dilation", "measured", "bound", "slack"))
     for width in widths:
         for lam in dilations:
             ratio = gns_ratio(problem, theta_value, width * lam * lam)
@@ -606,6 +586,8 @@ def heat_l1_deriv_check(n: int, d: int, t: float) -> tuple[float, float]:
         raise DomainError(f"supported range is n <= 4, d <= 3, got ({n!r}, {d!r})")
     if t <= 0.0:
         raise DomainError(f"time must be positive, got {t!r}")
+    from scipy.integrate import quad  # lazily: see young_extremizer_check
+
     alpha = 0.25 / t
     coeffs = _laplacian_power_coeffs(n, d, alpha)
     prefactor = (4.0 * math.pi * t) ** (-0.5 * d)
@@ -647,13 +629,15 @@ def convolution_ratio(
     )
 
 
+# Log-width grid scanned before the bounded refinement.
+_YOUNG_GRID = 601
+
+
 def young_extremizer_check(
     p: LebesgueExponent,
     q: LebesgueExponent,
     r: LebesgueExponent,
     d: int,
-    *,
-    grid_size: int = 601,
 ) -> tuple[float, float]:
     """Best Gaussian-pair convolution ratio versus the sharp constant.
 
@@ -661,16 +645,17 @@ def young_extremizer_check(
     at 1 and the other scanned over a log grid, refined by bounded scalar
     minimization of the negated ratio.  Returns (best_ratio, constant).
     """
-    # scipy.optimize is imported here, not at module level: it adds about
-    # 0.17 s to every command-line start and nothing else in the package uses it.
+    # scipy.optimize and scipy.integrate (which imports scipy.optimize) are
+    # imported where they are used, not at module level: together they add
+    # about 0.35 s to every command-line start, and no command uses them.
     from scipy.optimize import minimize_scalar
 
     constant = young_constant(p, q, r, d)
-    log_m = np.linspace(-3.0 * math.log(10.0), 3.0 * math.log(10.0), grid_size)
+    log_m = np.linspace(-3.0 * math.log(10.0), 3.0 * math.log(10.0), _YOUNG_GRID)
     ratios = [convolution_ratio(1.0, math.exp(v), p, q, r, d) for v in log_m]
     idx = int(np.argmax(ratios))
     lo = log_m[max(idx - 1, 0)]
-    hi = log_m[min(idx + 1, grid_size - 1)]
+    hi = log_m[min(idx + 1, _YOUNG_GRID - 1)]
     refined = minimize_scalar(
         lambda v: -convolution_ratio(1.0, math.exp(v), p, q, r, d),
         bounds=(lo, hi),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -294,3 +297,13 @@ def test_bad_input_exits_2_with_one_line(argv, env_seed, agmon_cert_path, capsys
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the oracle imports quad where it is used, so no command pays for it
+    import gnsbound
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gnsbound.__file__)))
+    code = "import sys, gnsbound.cli; sys.exit('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -98,10 +98,6 @@ class TestThetaAndValidate:
         with pytest.raises(InadmissibleError):
             theta(problem)
 
-    def test_margin_parameter(self, agmon_problem):
-        assert validate(agmon_problem, margin=0.4).admissible
-        assert not validate(agmon_problem, margin=0.6).admissible
-
     def test_endpoint_up_to_rounding_inadmissible(self):
         # X = X1 = 2/3 exactly, but rounding leaves a positive upper margin
         # while theta's quotient rounds to 1
@@ -133,7 +129,8 @@ class TestThetaAndValidate:
             s, s1, s2 = rng.uniform(-2, 3, size=3)
             ps = [LebesgueExponent(float(u)) for u in rng.uniform(0, 1, size=3)]
             problem = GnsProblem(d, float(s), float(s1), float(s2), *ps)
-            if validate(problem, margin=1e-6).admissible:
+            r = validate(problem)
+            if r.admissible and min(r.lower_margin, r.upper_margin) > 1e-6:
                 return problem
 
     def test_theta_validate_consistency(self):

@@ -246,7 +246,8 @@ class TestSampler:
             s, s1, s2 = (float(x) for x in rng.uniform(-2, 3, size=3))
             ps = [LebesgueExponent(float(u)) for u in rng.uniform(0, 1, size=3)]
             problem = GnsProblem(d, s, s1, s2, *ps)
-            if not validate(problem, margin=1e-3).admissible:
+            r = validate(problem)
+            if not (r.admissible and min(r.lower_margin, r.upper_margin) > 1e-3):
                 continue
             found += 1
             oriented, _ = problem.oriented()

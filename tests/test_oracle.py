@@ -14,7 +14,9 @@ from gnsbound.oracle import (
     _STUB_TERMS,
     RadialTestFunction,
     _freq_rule,
+    _kernel_matrix,
     _profile_zeros,
+    _radial_rule,
     _RadialProfile,
     check_gns,
     check_parabolic,
@@ -156,6 +158,39 @@ class TestParabolicSweep:
         assert float(cells[-2]) == report.rows[0][-2]
 
 
+class TestScaleCovariantRule:
+    """The rule is written in units of sqrt(b), so its tables do not depend on b."""
+
+    def test_one_kernel_table_per_node_set(self, monkeypatch):
+        seen = []
+        evaluate = _RadialProfile._evaluate
+
+        def spy(profile, kernel, r):
+            seen.append(kernel)
+            return evaluate(profile, kernel, r)
+
+        monkeypatch.setattr(_RadialProfile, "_evaluate", spy)
+        for width, t in ((0.5, 0.1), (3.0, 10.0)):
+            _RadialProfile(RadialTestFunction(width, 2), 0.5, t, "fine").on_nodes("lp")
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    def test_rows_independent_of_cache_state_and_order(self):
+        grid, widths = default_parabolic_grid((1,)), [0.7, 1.9]
+
+        def clear():
+            for cache in (_freq_rule, _radial_rule, _kernel_matrix):
+                cache.cache_clear()
+
+        clear()
+        cold = check_parabolic(grid, widths).rows
+        warm = check_parabolic(grid, widths).rows
+        clear()
+        backward = check_parabolic(grid[::-1], widths).rows
+        assert cold == warm
+        assert len(backward) == len(cold)
+        assert {row[:6]: row for row in backward} == {row[:6]: row for row in cold}
+
+
 class TestHeatKernelDerivatives:
     def test_density_case(self):
         measured, bound = heat_l1_deriv_check(0, 2, 1.0)
@@ -274,11 +309,8 @@ class TestAccuracyControl:
         # flips sign by roundoff alone, and those flips are no zeros
         a, t, s = 0.7, 0.3, 2.0
         ap = a / (1 + 4 * a * t)
-        b = t + 0.25 / a
-        r_split = _SPLIT_FACTOR * math.sqrt(b)
-        scale, order = _LEVELS[level]
-        profile = _RadialProfile(RadialTestFunction(a, 1), s, t, r_split, scale=scale, order=order)
-        zeros = _profile_zeros(profile, r_split)
+        profile = _RadialProfile(RadialTestFunction(a, 1), s, t, level)
+        zeros = _profile_zeros(profile)
         assert len(zeros) == 1
         assert zeros[0] == pytest.approx((2 * ap) ** -0.5, rel=1e-9)
 
@@ -310,11 +342,10 @@ class TestStubPolynomial:
     @pytest.mark.parametrize("level", sorted(_LEVELS))
     def test_matches_term_by_term_series(self, d, s, level):
         f, t = RadialTestFunction(1.3, d), 0.1
-        scale, order = _LEVELS[level]
         b = t + 0.25 / f.width
         r_split = _SPLIT_FACTOR * math.sqrt(b)
-        profile = _RadialProfile(f, s, t, r_split, scale=scale, order=order)
-        eps = _freq_rule(b, r_split, scale, order)[0]
+        profile = _RadialProfile(f, s, t, level)
+        eps = profile.eps
         r = np.linspace(0.0, r_split, 257)
         want = _stub_double_loop(d, s, b, eps, profile.cf, r)
         got = np.polynomial.polynomial.polyval(r * r, profile.stub)
@@ -334,12 +365,11 @@ class TestSupNormAtOrigin:
     @pytest.mark.parametrize("s", [-0.25, 0.5, 1.0, 2.0, 3.5])
     @pytest.mark.parametrize("level", sorted(_LEVELS))
     def test_dense_scan_never_beats_origin(self, d, s, level):
-        scale, order = _LEVELS[level]
         for t in (0.0, 0.1, 10.0):
             for width in (0.5, 2.0):
                 f = RadialTestFunction(width, d)
                 r_split = _SPLIT_FACTOR * math.sqrt(t + 0.25 / width)
-                profile = _RadialProfile(f, s, t, r_split, scale=scale, order=order)
+                profile = _RadialProfile(f, s, t, level)
                 scan = np.abs(profile(np.linspace(0.0, r_split, _SUP_GRID[level])))
                 at_origin = abs(float(profile(np.zeros(1))[0]))
                 assert scan.max() <= at_origin * (1.0 + 1e-14), (t, width)
