@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping
 
@@ -85,9 +86,10 @@ CERT_VALUE_RTOL = 1e-9
 CORNER_LADDER = ((2.0**-40, 2.0**-43), (2.0**-44, 2.0**-50), (2.0**-47, 2.0**-53))
 # Golden-section evaluations per smooth piece between two kinks.
 PIECE_EVALS = 32
-# A shifted order this far above an even integer at a kink is rounding; a
-# piece this short lies between a kink and its float neighbours.
+# A piece this short lies between two snapped copies of one kink.
 KINK_ROUNDING = 1e-12
+# Floats below the exact kink searched for one where the float order agrees.
+KINK_SNAP_ULPS = 64
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # v0/(1 + v0), v0 = W(1/e) the root of log v + v + 1 = 0; see _corner_is_optimal.
 CORNER_THETA_MIN = 0.2784645427610738 / 1.2784645427610738
@@ -370,24 +372,29 @@ def _nelder_mead(
 
 
 def _kink_sigmas(oriented: GnsProblem, lb: float, window: float) -> list[float]:
-    """Sigmas in (lb, lb + window] where some s + 2*sigma - s_j is in 2*N0.
+    """Sigmas in (lb, lb + window] where some s + 2*sigma - s_j reaches 2k >= 0.
 
     The smoothing constant is continuous from below at a kink and jumps above
-    it, so each kink comes with the next float above it and, where rounding
-    puts the shifted order above its even integer, the floats just below.
+    it.  Each kink is the largest float sigma whose order is at most 2k both
+    exactly, in Fractions of the float inputs, and as :func:`_parts_at`
+    rounds it, so that both arithmetics evaluate the regime below the jump.
     """
     kinks = set()
     for s_j in (oriented.s1, oriented.s2):
         base = 0.5 * (s_j - oriented.s)
         k = max(0, math.floor(lb - base))
         while base + k <= lb + window:
-            sigma = base + k
-            kinks.update((sigma, math.nextafter(sigma, math.inf)))
-            while 0.0 < oriented.s + 2.0 * sigma - s_j - 2.0 * k < KINK_ROUNDING:
+            exact = (Fraction(s_j) - Fraction(oriented.s)) / 2 + k
+            sigma = float(exact)
+            if Fraction(sigma) > exact:
                 sigma = math.nextafter(sigma, -math.inf)
-                kinks.add(sigma)
+            for _ in range(KINK_SNAP_ULPS):
+                if oriented.s + 2.0 * sigma - s_j <= 2 * k:
+                    kinks.add(sigma)
+                    break
+                sigma = math.nextafter(sigma, -math.inf)
             k += 1
-    return sorted(kink for kink in kinks if lb < kink <= lb + window)
+    return sorted(sigma for sigma in kinks if lb < sigma <= lb + window)
 
 
 def _golden_min(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:

@@ -6,46 +6,47 @@ carrying (2*pi)^(-d)), the transform is (pi/a)^(d/2) * exp(-|xi|^2/(4a)),
 the operator |grad|^s has symbol |xi|^s, and the heat flow has symbol
 exp(-t*|xi|^2).  Applying the multiplier gives a radial frequency profile
 
-    ghat(rho) = (pi/a)^(d/2) * rho^s * exp(-b*rho^2),      b = t + 1/(4a),
+    ghat(rho) = cf * rho^s * exp(-b*rho^2),    cf = (pi/a)^(d/2),  b = t + 1/(4a).
 
-whose inverse transform h(r) is computed by the dimension-reduced kernels
+The heat flow is a dilation, so the inverse transform is
+h(r) = cf * b^(-(s+d)/2) * H(r/sqrt(b)), with H the unit profile (b = 1,
+cf = 1) of (d, s), and ||h||_p = cf * b^(d/(2p) - (s+d)/2) * ||H||_p.  Every
+norm is measured on H and dilated once, in closed form, by
+:func:`fractional_heat_norm`.  H is computed by the dimension-reduced kernels
 
-    d=1:  h(r) = (1/pi)      * int_0^inf ghat(rho) cos(rho*r)          drho
-    d=2:  h(r) = (1/(2pi))   * int_0^inf ghat(rho) J0(rho*r)  rho      drho
-    d=3:  h(r) = (1/(2pi^2)) * int_0^inf ghat(rho) sinc(rho*r) rho^2   drho.
+    d=1:  H(y) = (1/pi)      * int_0^inf x^s e^(-x^2) cos(x*y)          dx
+    d=2:  H(y) = (1/(2pi))   * int_0^inf x^s e^(-x^2) J0(x*y)  x        dx
+    d=3:  H(y) = (1/(2pi^2)) * int_0^inf x^s e^(-x^2) sinc(x*y) x^2     dx.
 
 Quadrature is composite Gauss-Legendre on panels graded geometrically toward
-rho = 0 (the profile has an integrable algebraic singularity there for
+x = 0 (the profile has an integrable algebraic singularity there for
 non-integer s) and capped in width so the oscillatory kernel is resolved; a
 small leading stub (0, eps) is integrated analytically from the joint power
-series of the Gaussian factor and the kernel, a polynomial in r^2 built once
+series of the Gaussian factor and the kernel, a polynomial in y^2 built once
 per profile.
 
-For s/2 not a nonnegative integer, h decays only algebraically.  The far
+For s/2 not a nonnegative integer, H decays only algebraically.  The far
 field is summed from the asymptotic expansion generated by the frequency
 singularity at 0,
 
-    h(r) ~ sum_k  cf * (-b)^k/k! * 2^(s+2k) * pi^(-d/2)
-                  * Gamma((d+s)/2 + k)/Gamma(-s/2 - k) * r^(-d-s-2k),
+    H(y) ~ sum_k  (-1)^k/k! * 2^(s+2k) * pi^(-d/2)
+                  * Gamma((d+s)/2 + k)/Gamma(-s/2 - k) * y^(-d-s-2k),
 
-truncated at the smallest term (optimal truncation; the remainder is
-O(exp(-r^2/(4b))) at the splitting radius used here).  Lp norms integrate
-|h|^p r^(d-1) numerically up to the splitting radius and the asymptotic form
-beyond.  The sup norm is |h(0)|: ghat is nonnegative and each reduced kernel
-is bounded by its value 1 at rho*r = 0, so |h(r)| <= h(0) for every r.
+truncated per radius at its smallest term (optimal truncation; the
+remainder is O(exp(-y^2/4)) beyond the splitting radius y = 16 used here).
+Lp norms integrate |H|^p y^(d-1) numerically up to the splitting radius and
+the asymptotic form beyond.  The sup norm is |H(0)|: the multiplied
+transform is nonnegative and each reduced kernel is bounded by its value 1
+at x*y = 0, so |H(y)| <= H(0) for every y.
 
 Every norm is evaluated on two rules of different order and panel density;
 their disagreement is the error estimate, and exceeding the requested target
 raises :class:`AccuracyError` rather than degrading silently.
 
-The rule is scale-covariant: the heat flow at parameter b is a dilation by
-sqrt(b), and every radius, frequency, panel edge and the stub scale with it
-(r_split = 16*sqrt(b), frequencies in units of 1/sqrt(b)).  So the products
-r*rho, and the kernel tables built from them, do not depend on b; they are
-cached once per (d, level, node set) and a profile only rescales nodes and
-weights.  The caches are pure memoization (results never depend on cache
-state or call order) and rely on the interpreter's global lock for safe
-concurrent use.
+The rules and the kernel tables built from them depend only on (d, level,
+node set) and are cached once each.  The caches are pure memoization
+(results never depend on cache state or call order) and rely on the
+interpreter's global lock for safe concurrent use.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,8 +68,8 @@ from .specialfn import heat_deriv_l1_bound
 
 DOMINANCE_RTOL = 1e-6
 
-# Frequency cutoff: exp(-b*rho^2) below exp(-100); spatial split at 16*sqrt(b)
-# where the optimal-truncation remainder exp(-r^2/(4b)) is about exp(-64).
+# Frequency cutoff: exp(-x^2) below exp(-100); spatial split at y = 16 where
+# the optimal-truncation remainder exp(-y^2/4) is about exp(-64).
 _FREQ_CUTOFF = 100.0
 _SPLIT_FACTOR = 16.0
 _TAIL_KMAX = 60
@@ -75,7 +77,8 @@ _STUB_TERMS = 12
 
 _KERNEL_PREFACTOR = {1: 1.0 / math.pi, 2: 0.5 / math.pi, 3: 0.5 / math.pi**2}
 
-# Taylor coefficients of the reduced kernels in z^2: cos, J0, sinc.
+# The reduced kernels cos, J0 and sinc, and their Taylor coefficients in z^2.
+_KERNELS = {1: np.cos, 2: j0, 3: lambda z: np.sinc(z / math.pi)}
 _KERNEL_SERIES = {
     1: lambda j: (-1.0) ** j / math.factorial(2 * j),
     2: lambda j: (-1.0) ** j / (4.0**j * math.factorial(j) ** 2),
@@ -132,31 +135,6 @@ def _panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _freq_edges(scale: float) -> tuple[float, np.ndarray]:
-    """Panel edges for the half-line frequency integral, plus the stub size.
-
-    In units of 1/sqrt(b): the cutoff, the stub and the widest panel all
-    scale like 1/sqrt(b), the last two through r_split = 16*sqrt(b).
-    """
-    cutoff = math.sqrt(_FREQ_CUTOFF)
-    eps = 0.3 / math.sqrt(1.0 + _SPLIT_FACTOR**2)
-    w_max = scale * min(1.2, 8.0 / _SPLIT_FACTOR)
-    edges = [eps]
-    width = eps
-    while edges[-1] < cutoff:
-        width = min(2.0 * width, w_max)
-        edges.append(min(edges[-1] + width, cutoff))
-    return eps, np.asarray(edges)
-
-
-def _kernel_values(d: int, z: np.ndarray) -> np.ndarray:
-    if d == 1:
-        return np.cos(z)
-    if d == 2:
-        return j0(z)
-    return np.sinc(z / math.pi)
-
-
 # (scale, Gauss-Legendre order) per accuracy level.
 _LEVELS = {"coarse": (1.0, 16), "fine": (0.7, 22)}
 
@@ -165,15 +143,26 @@ _SCOUT_GRID = 1025
 
 @functools.lru_cache(maxsize=None)
 def _freq_rule(level: str) -> tuple[float, np.ndarray, np.ndarray]:
-    """Stub size, frequency nodes and weights, in units of 1/sqrt(b)."""
+    """Stub size, frequency nodes and weights of the unit profile.
+
+    Panels double in width from the stub up to a cap; the stub and the cap
+    are tied to the splitting radius so that the kernel is resolved there.
+    """
     scale, order = _LEVELS[level]
-    eps, edges = _freq_edges(scale)
-    return (eps, *_panel_rule(edges, order))
+    cutoff = math.sqrt(_FREQ_CUTOFF)
+    eps = 0.3 / math.sqrt(1.0 + _SPLIT_FACTOR**2)
+    w_max = scale * min(1.2, 8.0 / _SPLIT_FACTOR)
+    edges = [eps]
+    width = eps
+    while edges[-1] < cutoff:
+        width = min(2.0 * width, w_max)
+        edges.append(min(edges[-1] + width, cutoff))
+    return (eps, *_panel_rule(np.asarray(edges), order))
 
 
 @functools.lru_cache(maxsize=None)
 def _radial_rule(level: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panel edges, nodes and weights on (0, r_split), in units of sqrt(b)."""
+    """Panel edges, nodes and weights on (0, _SPLIT_FACTOR) for the unit profile."""
     scale, order = _LEVELS[level]
     n_panels = math.ceil(_SPLIT_FACTOR / (0.8 * scale))
     edges = np.linspace(0.0, _SPLIT_FACTOR, n_panels + 1)
@@ -182,74 +171,64 @@ def _radial_rule(level: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _kernel_matrix(d: int, level: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes y in units of sqrt(b) and the kernel matrix K(y x).
+    """Radial nodes y of the unit profile and the kernel matrix K(y x).
 
     ``kind`` is ``"lp"`` for the nodes of the radial rule or ``"scout"`` for
-    the zero-search grid.  Since r*rho = y*x, one table serves every b.
+    the zero-search grid.
     """
     if kind == "lp":
         y = _radial_rule(level)[1]
     else:
         y = np.linspace(0.0, _SPLIT_FACTOR, _SCOUT_GRID)
-    return y, _kernel_values(d, np.outer(y, _freq_rule(level)[1]))
+    return y, _KERNELS[d](np.outer(y, _freq_rule(level)[1]))
 
 
 class _RadialProfile:
-    """Evaluator for h(r) at a fixed quadrature level, reusable across r."""
+    """The unit profile H (b = 1, unit amplitude) at a fixed quadrature level."""
 
-    def __init__(self, f: RadialTestFunction, s: float, t: float, level: str):
-        self.d = f.d
+    def __init__(self, d: int, s: float, level: str):
+        self.d = d
         self.level = level
-        self.b = t + 0.25 / f.width
-        self.root_b = math.sqrt(self.b)
-        self.cf = (math.pi / f.width) ** (0.5 * f.d)
-        eps, x, w = _freq_rule(level)
-        self.eps = eps / self.root_b
-        self.rho = rho = x / self.root_b
-        self.weights = (
-            (w / self.root_b) * self.cf * rho ** (s + f.d - 1) * np.exp(-self.b * rho * rho)
-        )
+        self.eps, self.x, w = _freq_rule(level)
+        self.weights = w * self.x ** (s + d - 1) * np.exp(-self.x * self.x)
         # The integral over (0, eps) from the joint even power series of the
-        # Gaussian factor and the kernel, as a polynomial in r^2: coefficient
-        # j is cf * k_j * sum_i (-b)^i/i! * eps^(s+d+2(i+j)) / (s+d+2(i+j)).
+        # Gaussian factor and the kernel, as a polynomial in y^2: coefficient
+        # j is k_j * sum_i (-1)^i/i! * eps^(s+d+2(i+j)) / (s+d+2(i+j)).
         n = np.arange(_STUB_TERMS + 1)
-        exp_coeff = np.array([(-self.b) ** i / math.factorial(i) for i in n])
-        power = s + f.d + 2.0 * n
+        exp_coeff = np.array([(-1.0) ** i / math.factorial(i) for i in n])
+        power = s + d + 2.0 * n
         moments = self.eps**power / power
-        self.stub = self.cf * np.array(
-            [_KERNEL_SERIES[f.d](j) * (exp_coeff[: n.size - j] @ moments[j:]) for j in n]
+        self.stub = np.array(
+            [_KERNEL_SERIES[d](j) * (exp_coeff[: n.size - j] @ moments[j:]) for j in n]
         )
 
-    def _evaluate(self, kernel: np.ndarray, r: np.ndarray) -> np.ndarray:
-        stub = np.polynomial.polynomial.polyval(r * r, self.stub)
+    def _evaluate(self, kernel: np.ndarray, y: np.ndarray) -> np.ndarray:
+        stub = np.polynomial.polynomial.polyval(y * y, self.stub)
         return _KERNEL_PREFACTOR[self.d] * (kernel @ self.weights + stub)
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Profile at arbitrary radii r."""
-        r = np.asarray(r, dtype=float)
-        return self._evaluate(_kernel_values(self.d, np.outer(r, self.rho)), r)
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        """Profile at arbitrary radii y."""
+        y = np.asarray(y, dtype=float)
+        return self._evaluate(_KERNELS[self.d](np.outer(y, self.x)), y)
 
     def on_nodes(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """Radii sqrt(b)*y of the cached node set ``kind`` and h there."""
+        """The cached radii y of node set ``kind`` and H there."""
         y, kernel = _kernel_matrix(self.d, self.level, kind)
-        r = self.root_b * y
-        return r, self._evaluate(kernel, r)
+        return y, self._evaluate(kernel, y)
 
 
-def _tail_coefficients(cf: float, s: float, d: int, b: float) -> np.ndarray | None:
-    """Signed coefficients of the far-field expansion, or None when it vanishes.
+def _tail_coefficients(s: float, d: int) -> np.ndarray | None:
+    """Signed far-field coefficients of H, or None when the expansion vanishes.
 
     The expansion is identically zero when s/2 is a nonnegative integer (the
-    multiplier is then smooth at the origin and h decays like a Gaussian).
+    multiplier is then smooth at the origin and H decays like a Gaussian).
     """
     if s >= 0.0 and 0.5 * s == math.floor(0.5 * s):
         return None
     k = np.arange(_TAIL_KMAX)
     pole_arg = -0.5 * s - k
     log_mag = (
-        math.log(cf)
-        + k * math.log(b)
-        - gammaln(k + 1.0)
+        -gammaln(k + 1.0)
         + (s + 2 * k) * math.log(2.0)
         - 0.5 * d * math.log(math.pi)
         + gammaln(0.5 * (d + s) + k)
@@ -259,11 +238,11 @@ def _tail_coefficients(cf: float, s: float, d: int, b: float) -> np.ndarray | No
     return sign * np.exp(log_mag)
 
 
-def _tail_values(coeffs: np.ndarray, s: float, d: int, r: np.ndarray) -> np.ndarray:
-    """Far-field h from the expansion, truncated at the smallest term."""
-    r = np.asarray(r, dtype=float)
+def _tail_values(coeffs: np.ndarray, s: float, d: int, y: np.ndarray) -> np.ndarray:
+    """Far-field H from the expansion, truncated at the smallest term."""
+    y = np.asarray(y, dtype=float)
     k = np.arange(len(coeffs))
-    powers = r[None, :] ** (-(d + s + 2.0 * k[:, None]))
+    powers = y[None, :] ** (-(d + s + 2.0 * k[:, None]))
     terms = coeffs[:, None] * powers
     mags = np.abs(terms)
     increasing = mags[1:] >= mags[:-1]
@@ -273,18 +252,18 @@ def _tail_values(coeffs: np.ndarray, s: float, d: int, r: np.ndarray) -> np.ndar
 
 
 def _tail_lp_integral(
-    coeffs: np.ndarray, s: float, d: int, p_value: float, radius: float, h_scale: float
+    coeffs: np.ndarray, s: float, d: int, p_value: float, h_scale: float
 ) -> float:
-    """Integral over (radius, inf) of |h_tail / h_scale|^p r^(d-1) dr.
+    """Integral over (_SPLIT_FACTOR, inf) of |H_tail / h_scale|^p y^(d-1) dy.
 
-    Geometric panels, one per octave out to 2^41 * radius, closed by the
-    leading-power remainder (|c0|/h_scale)^p * X^(-E)/E with
+    Geometric panels, one per octave out to 2^41 * _SPLIT_FACTOR, closed by
+    the leading-power remainder (|c0|/h_scale)^p * X^(-E)/E with
     E = p*(d+s) - d; the next-order correction there is smaller by a factor
     X^(-2).  The integrand is pre-scaled by the profile's peak so that large
     exponents cannot overflow.
     """
     decay = p_value * (d + s) - d
-    edges = radius * 2.0 ** np.arange(0.0, 42.0)
+    edges = _SPLIT_FACTOR * 2.0 ** np.arange(0.0, 42.0)
     nodes, weights = _panel_rule(edges, 12)
     h = _tail_values(coeffs, s, d, nodes) / h_scale
     octaves = float(np.sum(weights * np.abs(h) ** p_value * nodes ** (d - 1)))
@@ -296,15 +275,15 @@ def _tail_lp_integral(
 
 
 # A scout sign change whose two values both lie below this fraction of the
-# grid's largest |h| is quadrature roundoff, not a zero: where a Gaussian
+# grid's largest |H| is quadrature roundoff, not a zero: where a Gaussian
 # tail has decayed below it, the computed profile flips sign at random.
 _ZERO_FLOOR = 1e-12
 
 
 def _profile_zeros(profile: _RadialProfile) -> list[float]:
-    """Sign-change locations of the profile on (0, r_split), by bisection.
+    """Sign-change locations of the profile on (0, _SPLIT_FACTOR), by bisection.
 
-    Needed because |h|^p is only C^1 at zeros of h unless p is an even
+    Needed because |H|^p is only C^1 at zeros of H unless p is an even
     integer, which would degrade the panel rule; the zeros become panel
     edges instead.  Sign changes between values below ``_ZERO_FLOOR`` times
     the largest scout value are ignored.
@@ -328,19 +307,15 @@ def _profile_zeros(profile: _RadialProfile) -> list[float]:
     return zeros
 
 
-def _norm_at_level(
-    f: RadialTestFunction, s: float, t: float, p: LebesgueExponent, level: str
-) -> float:
-    d = f.d
-    profile = _RadialProfile(f, s, t, level)
-    b, root_b = profile.b, profile.root_b
-    r_split = _SPLIT_FACTOR * root_b
-    coeffs = _tail_coefficients(profile.cf, s, d, b)
+def _norm_at_level(d: int, s: float, p: LebesgueExponent, level: str) -> float:
+    """||H||_p of the unit profile at one quadrature level."""
+    profile = _RadialProfile(d, s, level)
+    coeffs = _tail_coefficients(s, d)
 
     if p.recip == 0.0:
         peak = abs(float(profile(np.zeros(1))[0]))
         if coeffs is not None:
-            boundary = abs(float(_tail_values(coeffs, s, d, np.array([r_split]))[0]))
+            boundary = abs(float(_tail_values(coeffs, s, d, np.array([_SPLIT_FACTOR]))[0]))
             if boundary > peak:
                 raise AccuracyError("sup apparently beyond the splitting radius")
         return peak
@@ -349,11 +324,9 @@ def _norm_at_level(
     p_even = 0.5 * p_value == math.floor(0.5 * p_value)
     edges, _, weights = _radial_rule(level)
     if p_even or s == 0.0:
-        # |h|^p is smooth (even power, or a positive profile): cached nodes
+        # |H|^p is smooth (even power, or a positive profile): cached nodes
         nodes, h = profile.on_nodes("lp")
-        weights = root_b * weights
     else:
-        edges = root_b * edges
         zeros = _profile_zeros(profile)
         if zeros:
             edges = np.unique(np.concatenate([edges, np.asarray(zeros)]))
@@ -365,9 +338,7 @@ def _norm_at_level(
         return 0.0
     main = float(np.sum(weights * (habs / h_scale) ** p_value * nodes ** (d - 1)))
     tail = (
-        _tail_lp_integral(coeffs, s, d, p_value, r_split, h_scale)
-        if coeffs is not None
-        else 0.0
+        _tail_lp_integral(coeffs, s, d, p_value, h_scale) if coeffs is not None else 0.0
     )
     return h_scale * (surface_area(d) * (main + tail)) ** (1.0 / p_value)
 
@@ -382,21 +353,24 @@ def fractional_heat_norm(
 ) -> float:
     """Lp norm of |grad|^s applied to the heat flow of a Gaussian.
 
-    Evaluated at two quadrature levels; their relative disagreement is the
-    error estimate and must not exceed ``target_rel``.
+    The unit profile's norm is evaluated at two quadrature levels; their
+    relative disagreement is the error estimate and must not exceed
+    ``target_rel``.  The dilation to b = t + 1/(4a) is then applied in closed
+    form, with its power of two carried exactly.
     """
-    if not (s > -f.d):
-        raise DomainError(f"need s > -d for integrability, got s={s!r}, d={f.d}")
+    d = f.d
+    if not (s > -d):
+        raise DomainError(f"need s > -d for integrability, got s={s!r}, d={d}")
     if t < 0.0:
         raise DomainError(f"time must be nonnegative, got {t!r}")
     algebraic_tail = not (s >= 0.0 and 0.5 * s == math.floor(0.5 * s))
-    if p.recip > 0.0 and algebraic_tail and p.value * (f.d + s) <= f.d:
+    if p.recip > 0.0 and algebraic_tail and p.value * (d + s) <= d:
         raise DomainError(
             f"Lp norm diverges: the profile decays like r^-(d+s) and "
-            f"p*(d+s) = {p.value * (f.d + s)!r} <= d = {f.d}"
+            f"p*(d+s) = {p.value * (d + s)!r} <= d = {d}"
         )
-    coarse = _norm_at_level(f, s, t, p, "coarse")
-    fine = _norm_at_level(f, s, t, p, "fine")
+    coarse = _norm_at_level(d, s, p, "coarse")
+    fine = _norm_at_level(d, s, p, "fine")
     if not (math.isfinite(coarse) and math.isfinite(fine)):
         raise AccuracyError(f"non-finite norm evaluations ({coarse!r}, {fine!r})")
     err = abs(coarse - fine) / max(abs(fine), 1e-300)
@@ -404,7 +378,23 @@ def fractional_heat_norm(
         raise AccuracyError(
             f"quadrature levels disagree by {err:.3e} > target {target_rel:.1e}"
         )
-    return float(fine)
+    # ||h||_p = (pi/a)^(d/2) * b^e * ||H||_p with e = d/(2p) - (s+d)/2.  With
+    # pi/a = m1 * 2^k1 and b = m2 * 2^k2, e and the exponent x of 2^x are
+    # exact Fractions, and 2^x is split into 2^n and 2^(x - n): the product
+    # leaves float range only where the norm, pi/a or b does.  Through
+    # exp(log(scale)), or with e rounded, it loses about |log(scale)| ulps.
+    e = (d * Fraction(p.recip) - Fraction(s) - d) / 2
+    m1, k1 = math.frexp(math.pi / f.width)
+    m2, k2 = math.frexp(t + 0.25 / f.width)
+    x = Fraction(d * k1, 2) + e * k2
+    n = math.floor(x)
+    try:
+        norm = math.ldexp(m1 ** (0.5 * d) * m2 ** float(e) * 2.0 ** float(x - n) * fine, n)
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise AccuracyError(f"norm at width {f.width!r}, t = {t!r} is beyond float range")
+    return norm
 
 
 def frequency_space_l2_norm(f: RadialTestFunction, s: float, t: float) -> float:
@@ -532,10 +522,10 @@ def check_gns(
     """Measured interpolation ratios against a certificate's bound value.
 
     Dilation lam rescales a base width a to a*lam^2 (the Gaussian analogue of
-    f(x) -> f(lam*x)); the ratio is scale-free.  The quadrature rule scales
-    with sqrt(b), so rows sharing a base width agree up to rounding by
-    construction: they check the scaling of nodes and weights and the
-    closed-form Lp factors, not the discretization.
+    f(x) -> f(lam*x)); the ratio is scale-free.  Every norm is measured on the
+    unit profile and dilated in closed form, so at t = 0 every row divides
+    the same three unit norms: the rows agree up to rounding by construction
+    and check the closed-form scale factors, not the discretization.
     """
     problem = certificate.problem
     theta_value = certificate.theta.value

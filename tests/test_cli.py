@@ -206,6 +206,30 @@ class TestVerifyCommands:
         assert "PASS" in out
         assert len(csv_path.read_text().splitlines()) == 4
 
+    def test_verify_parabolic_narrow_gaussian(self, capsys):
+        # b = 2500: the far-field coefficients once overflowed to nan here
+        code, out, _ = run(["verify", "parabolic", "--d", "1", "--widths", "0.0001"], capsys)
+        assert code == 0
+        assert "PASS" in out
+
+    def test_verify_gns_sixteen_dilations(self, tmp_path, capsys):
+        # dilations 2^-16 .. 2^16 on a fractional certificate: the stub and
+        # far-field coefficients once overflowed from 2^7 on
+        cert_path = tmp_path / "cert.json"
+        flags = ["--d", "1", "--s", "0.5", "--s1", "1", "--s2", "0",
+                 "--p", "4", "--p1", "2", "--p2", "2"]
+        code, _, _ = run(["bound", *flags, *FAST, "--json-out", str(cert_path)], capsys)
+        assert code == 0
+        csv_path = tmp_path / "gns.csv"
+        code, out, _ = run(
+            ["verify", "gns", "--cert", str(cert_path), "--widths", "1",
+             "--dilations", "16", "--csv-out", str(csv_path)],
+            capsys,
+        )
+        assert code == 0
+        assert "PASS" in out
+        assert len(csv_path.read_text().splitlines()) == 1 + 33
+
     def test_verify_gns_malformed_cert(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"d": 1}')

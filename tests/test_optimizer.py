@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -16,6 +18,7 @@ from gnsbound.optimizer import (
     OptimizerConfig,
     _corner_is_optimal,
     _corner_search,
+    _kink_sigmas,
     _log_objective_at,
     _parts_at,
     _penalized_log_objective,
@@ -187,14 +190,16 @@ class TestMinimize:
     def test_reference_values_unchanged(self, agmon_problem, fractional_problem):
         # certificate values and witnesses at FAST from version 0.3.0, all on
         # the corner route; a change that keeps the bound must reproduce them
-        # to the last bit (problem, (value, beta1, beta2, sigma))
+        # to the last bit (problem, (value, beta1, beta2, sigma)).  The d = 3
+        # kink sits at sigma = 1.5 exactly; it was once certified one float
+        # above, where the exact shifted orders are past the jump
         corner = (0.9999999999999929, 1.1102230246251565e-16)
         expected = [
             (agmon_problem, (3.2045178765088833, *corner, 0.5)),
             (fractional_problem, (2.3588270393349453, *corner, 0.25)),
             (
                 GnsProblem(3, 1.0, 2.0, 0.0, TWO, TWO, TWO),
-                (30.277590264242146, *corner, 1.5000000000000002),
+                (30.277590264242157, *corner, 1.5),
             ),
         ]
         for problem, want in expected:
@@ -284,6 +289,31 @@ class TestMinimize:
             best = min(weight_term(th * a, (1.0 - th) * b) for a in grid for b in grid)
             inside = CORNER_THETA_MIN <= th <= 1.0 - CORNER_THETA_MIN
             assert (best >= at_corner - 1e-15) == inside
+
+    def test_kinks_are_the_last_floats_below_the_jump(self):
+        # every kink is the largest float sigma whose shifted order is at most
+        # its even integer 2k both exactly and as _parts_at rounds it
+        orders = [0.0, 1.0 / 3.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+
+        def below(s, s_j, k, sigma):
+            exact = Fraction(s) + 2 * Fraction(sigma) - Fraction(s_j)
+            return exact <= 2 * k and s + 2.0 * sigma - s_j <= 2 * k
+
+        lb, window = 0.25, 4.0
+        for s, s1, s2 in itertools.product(orders, repeat=3):
+            problem = GnsProblem(1, s, s1, s2, TWO, TWO, TWO)
+            kinks = _kink_sigmas(problem, lb, window)
+            want = set()
+            for s_j in (s1, s2):
+                for k in range(8):
+                    exact = (2 * k + Fraction(s_j) - Fraction(s)) / 2
+                    if lb < exact <= lb + window:
+                        sigma = math.nextafter(float(exact), math.inf)
+                        while not below(s, s_j, k, sigma):
+                            sigma = math.nextafter(sigma, -math.inf)
+                        want.add(sigma)
+                        assert not below(s, s_j, k, math.nextafter(sigma, math.inf))
+            assert kinks == sorted(want), (s, s1, s2)
 
     def test_saturated_logistic_decodes_to_none(self, agmon_problem):
         # expit(40) rounds to 1.0, so beta1 = 1 and the convexity condition

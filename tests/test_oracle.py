@@ -15,6 +15,7 @@ from gnsbound.oracle import (
     RadialTestFunction,
     _freq_rule,
     _kernel_matrix,
+    _leggauss,
     _profile_zeros,
     _radial_rule,
     _RadialProfile,
@@ -159,26 +160,27 @@ class TestParabolicSweep:
 
 
 class TestScaleCovariantRule:
-    """The rule is written in units of sqrt(b), so its tables do not depend on b."""
+    """Norms are measured on the unit profile, so its tables depend on neither
+    b nor s, and the dilation to b is applied in closed form."""
 
     def test_one_kernel_table_per_node_set(self, monkeypatch):
         seen = []
         evaluate = _RadialProfile._evaluate
 
-        def spy(profile, kernel, r):
+        def spy(profile, kernel, y):
             seen.append(kernel)
-            return evaluate(profile, kernel, r)
+            return evaluate(profile, kernel, y)
 
         monkeypatch.setattr(_RadialProfile, "_evaluate", spy)
-        for width, t in ((0.5, 0.1), (3.0, 10.0)):
-            _RadialProfile(RadialTestFunction(width, 2), 0.5, t, "fine").on_nodes("lp")
+        for s in (0.5, 2.0):
+            _RadialProfile(2, s, "fine").on_nodes("lp")
         assert len(seen) == 2 and seen[0] is seen[1]
 
     def test_rows_independent_of_cache_state_and_order(self):
         grid, widths = default_parabolic_grid((1,)), [0.7, 1.9]
 
         def clear():
-            for cache in (_freq_rule, _radial_rule, _kernel_matrix):
+            for cache in (_leggauss, _freq_rule, _radial_rule, _kernel_matrix):
                 cache.cache_clear()
 
         clear()
@@ -189,6 +191,31 @@ class TestScaleCovariantRule:
         assert cold == warm
         assert len(backward) == len(cold)
         assert {row[:6]: row for row in backward} == {row[:6]: row for row in cold}
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sup_norm_is_the_closed_form_moment(self, d):
+        # h(0) = K_d * cf * int rho^(s+d-1) e^(-b rho^2) drho
+        #      = K_d * cf * Gamma((s+d)/2) / (2 b^((s+d)/2))
+        for s in (-0.25, 0.0, 0.5, 1.0, 2.0, 3.5):
+            for width in 10.0 ** np.arange(-5.0, 6.0):
+                for t in (0.0, 0.1, 10.0):
+                    b = t + 0.25 / width
+                    cf = (math.pi / width) ** (0.5 * d)
+                    want = _KERNEL_PREFACTOR[d] * cf * math.gamma(0.5 * (s + d)) / (
+                        2.0 * b ** (0.5 * (s + d))
+                    )
+                    got = fractional_heat_norm(RadialTestFunction(width, d), s, t, INF)
+                    assert got == pytest.approx(want, rel=1e-12), (s, width, t)
+
+    @pytest.mark.parametrize("problem", ["agmon_problem", "fractional_problem"])
+    def test_gns_ratio_survives_extreme_dilations(self, problem, request):
+        # widths 4^k far beyond where the b-dependent rule overflowed
+        problem = request.getfixturevalue(problem)
+        th = theta(problem).value
+        unit = gns_ratio(problem, th, 1.0)
+        for k in range(-200, 201, 10):
+            assert gns_ratio(problem, th, 4.0**k) == pytest.approx(unit, rel=1e-12), k
 
 
 class TestHeatKernelDerivatives:
@@ -304,25 +331,27 @@ class TestAccuracyControl:
 
     @pytest.mark.parametrize("level", sorted(_LEVELS))
     def test_roundoff_sign_flips_are_not_zeros(self, level):
-        # the same signed profile has one positive zero, r = 1/sqrt(2a'); far
-        # out, where |h| < 4e-16 against h(0) = 0.56, the computed profile
-        # flips sign by roundoff alone, and those flips are no zeros
-        a, t, s = 0.7, 0.3, 2.0
-        ap = a / (1 + 4 * a * t)
-        profile = _RadialProfile(RadialTestFunction(a, 1), s, t, level)
+        # the unit profile of s = 2, d = 1 is (2 - y^2) exp(-y^2/4)/(8 sqrt(pi)),
+        # with one positive zero at y = sqrt(2); far out, where |H| is below
+        # 1e-16 of H(0), the computed profile flips sign by roundoff alone,
+        # and those flips are no zeros
+        profile = _RadialProfile(1, 2.0, level)
+        scout, values = profile.on_nodes("scout")
+        assert np.count_nonzero(values[:-1] * values[1:] < 0.0) > 1
         zeros = _profile_zeros(profile)
         assert len(zeros) == 1
-        assert zeros[0] == pytest.approx((2 * ap) ** -0.5, rel=1e-9)
+        assert zeros[0] == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
     def test_huge_exponent_no_overflow(self):
         value = fractional_heat_norm(RadialTestFunction(0.8, 1), 0.5, 0.2, LebesgueExponent(0.001))
         assert math.isfinite(value) and value > 0
 
 
-def _stub_double_loop(d, s, b, eps, cf, r):
-    """The stub series summed term by term, as the oracle once did per call."""
+def _stub_double_loop(d, s, eps, r):
+    """The unit profile's stub series summed term by term, as the oracle once
+    did per call."""
     kernel = _KERNEL_SERIES[d]
-    exp_coeff = [(-b) ** i / math.factorial(i) for i in range(_STUB_TERMS + 1)]
+    exp_coeff = [(-1.0) ** i / math.factorial(i) for i in range(_STUB_TERMS + 1)]
     r2 = r * r
     r2_pow = [np.ones_like(r)]
     for _ in range(_STUB_TERMS):
@@ -333,7 +362,7 @@ def _stub_double_loop(d, s, b, eps, cf, r):
         for jj in range(m + 1):
             gamma_m += kernel(jj) * r2_pow[jj] * exp_coeff[m - jj]
         total += gamma_m * eps ** (s + d + 2 * m) / (s + d + 2 * m)
-    return cf * total
+    return total
 
 
 class TestStubPolynomial:
@@ -341,15 +370,11 @@ class TestStubPolynomial:
     @pytest.mark.parametrize("s", [-0.25, 0.5, 2.0, 3.5])
     @pytest.mark.parametrize("level", sorted(_LEVELS))
     def test_matches_term_by_term_series(self, d, s, level):
-        f, t = RadialTestFunction(1.3, d), 0.1
-        b = t + 0.25 / f.width
-        r_split = _SPLIT_FACTOR * math.sqrt(b)
-        profile = _RadialProfile(f, s, t, level)
-        eps = profile.eps
-        r = np.linspace(0.0, r_split, 257)
-        want = _stub_double_loop(d, s, b, eps, profile.cf, r)
-        got = np.polynomial.polynomial.polyval(r * r, profile.stub)
-        peak = float(np.abs(profile(r)).max())
+        profile = _RadialProfile(d, s, level)
+        y = np.linspace(0.0, _SPLIT_FACTOR, 257)
+        want = _stub_double_loop(d, s, profile.eps, y)
+        got = np.polynomial.polynomial.polyval(y * y, profile.stub)
+        peak = float(np.abs(profile(y)).max())
         assert _KERNEL_PREFACTOR[d] * float(np.abs(got - want).max()) <= 1e-14 * peak
 
 
@@ -365,11 +390,7 @@ class TestSupNormAtOrigin:
     @pytest.mark.parametrize("s", [-0.25, 0.5, 1.0, 2.0, 3.5])
     @pytest.mark.parametrize("level", sorted(_LEVELS))
     def test_dense_scan_never_beats_origin(self, d, s, level):
-        for t in (0.0, 0.1, 10.0):
-            for width in (0.5, 2.0):
-                f = RadialTestFunction(width, d)
-                r_split = _SPLIT_FACTOR * math.sqrt(t + 0.25 / width)
-                profile = _RadialProfile(f, s, t, level)
-                scan = np.abs(profile(np.linspace(0.0, r_split, _SUP_GRID[level])))
-                at_origin = abs(float(profile(np.zeros(1))[0]))
-                assert scan.max() <= at_origin * (1.0 + 1e-14), (t, width)
+        profile = _RadialProfile(d, s, level)
+        scan = np.abs(profile(np.linspace(0.0, _SPLIT_FACTOR, _SUP_GRID[level])))
+        at_origin = abs(float(profile(np.zeros(1))[0]))
+        assert scan.max() <= at_origin * (1.0 + 1e-14)
