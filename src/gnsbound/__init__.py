@@ -11,7 +11,7 @@ parameters, and verifies every implemented inequality numerically on Gaussian
 test functions.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     AccuracyError,

@@ -10,9 +10,10 @@ Commands:
 Exit codes: 0 success, 1 inequality violation, 2 bad input, 3 quadrature
 accuracy failure, 4 search exhaustion (no feasible point found, though none
 is proven absent).  Certificate JSON and sweep CSV payloads are byte-identical
-across runs with the same flags and seed; the run manifest (printed to
-stdout) carries the timestamp and parameter echo.  The environment variable
-GNS_SEED overrides the default seed when --seed is not given.
+across runs with the same flags; the run manifest (printed to stdout) carries
+the timestamp and parameter echo.  The search is deterministic and seedless:
+``bound`` still accepts --starts, --samples and --seed, which configured the
+former multistart, and ignores them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -35,13 +35,8 @@ from .errors import (
     StructurallyEmptyError,
 )
 from .exponents import GnsProblem, LebesgueExponent
-from .optimizer import (
-    OptimizerConfig,
-    certificate_from_dict,
-    certificate_json,
-    minimize,
-)
-from .oracle import check_gns, check_parabolic, default_parabolic_grid
+from .optimizer import certificate_from_dict, certificate_json, minimize
+from .oracle import SweepReport, check_gns, check_parabolic, default_parabolic_grid
 from .parabolic import ParabolicParams, a_par, bound_at_time
 
 EXIT_OK = 0
@@ -51,14 +46,6 @@ EXIT_ACCURACY = 3
 EXIT_SEARCH = 4
 
 
-def _default_seed() -> int:
-    text = os.environ.get("GNS_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"GNS_SEED must be an integer, got {text!r}") from None
-
-
 def _parse_widths(text: str) -> list[float]:
     widths = [float(part) for part in text.split(",") if part.strip()]
     if not widths or not all(0.0 < w < math.inf for w in widths):
@@ -66,15 +53,12 @@ def _parse_widths(text: str) -> list[float]:
     return widths
 
 
-def _manifest(
-    command: str, args: argparse.Namespace, outputs: list[str], seed: int | None = None
-) -> str:
+def _manifest(command: str, args: argparse.Namespace, outputs: list[str]) -> str:
     echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return json.dumps(
         {
             "command": command,
             "parameters": {k: str(v) for k, v in echo.items()},
-            "seed": seed,
             "artifact_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "outputs": outputs,
@@ -98,9 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--p", type=str, required=True)
     bound.add_argument("--p1", type=str, required=True)
     bound.add_argument("--p2", type=str, required=True)
-    bound.add_argument("--starts", type=int, default=32)
-    bound.add_argument("--samples", type=int, default=32)
-    bound.add_argument("--seed", type=int, default=None)
+    for ignored in ("--starts", "--samples", "--seed"):
+        bound.add_argument(ignored, type=int, default=None, help=argparse.SUPPRESS)
     bound.add_argument("--json-out", type=str, default=None)
     bound.set_defaults(func=_cmd_bound)
 
@@ -152,12 +135,10 @@ def _problem_from_args(args: argparse.Namespace) -> GnsProblem:
 def _cmd_bound(args: argparse.Namespace) -> int:
     try:
         problem = _problem_from_args(args)
-        seed = args.seed if args.seed is not None else _default_seed()
-        config = OptimizerConfig(starts=args.starts, sample_per_start=args.samples, seed=seed)
     except (OutOfRangeError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    cert = minimize(problem, config)
+    cert = minimize(problem)
     outputs = []
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
@@ -165,7 +146,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         outputs.append(args.json_out)
     print(f"value = {cert.value!r}")
     print(f"theta = {cert.theta.value!r}")
-    print(_manifest("bound", args, outputs, seed))
+    print(_manifest("bound", args, outputs))
     return EXIT_OK
 
 
@@ -197,6 +178,19 @@ def _cmd_parabolic(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _report(command: str, args: argparse.Namespace, report: SweepReport, checked: str) -> int:
+    """Write the CSV, print the summary and the manifest, list violations."""
+    outputs = []
+    if args.csv_out:
+        report.to_csv(args.csv_out)
+        outputs.append(args.csv_out)
+    print(f"{checked}; worst slack = {report.worst_slack!r}; {'PASS' if report.ok else 'FAIL'}")
+    print(_manifest(command, args, outputs))
+    for row in report.violations():
+        print(f"violation: {row}", file=sys.stderr)
+    return EXIT_OK if report.ok else EXIT_VIOLATION
+
+
 def _cmd_verify_parabolic(args: argparse.Namespace) -> int:
     try:
         widths = _parse_widths(args.widths)
@@ -212,20 +206,7 @@ def _cmd_verify_parabolic(args: argparse.Namespace) -> int:
         grid = [case for case in grid if case[4] == 1.0]
         widths = widths[:1]
     report = check_parabolic(grid, widths)
-    outputs = []
-    if args.csv_out:
-        report.to_csv(args.csv_out)
-        outputs.append(args.csv_out)
-    print(
-        f"checked {len(report.rows)} cases; worst slack = {report.worst_slack!r}; "
-        f"{'PASS' if report.ok else 'FAIL'}"
-    )
-    print(_manifest("verify parabolic", args, outputs))
-    if not report.ok:
-        for row in report.violations():
-            print(f"violation: {row}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _report("verify parabolic", args, report, f"checked {len(report.rows)} cases")
 
 
 def _cmd_verify_gns(args: argparse.Namespace) -> int:
@@ -241,21 +222,16 @@ def _cmd_verify_gns(args: argparse.Namespace) -> int:
         print("bad input: --dilations must be in 0..1023", file=sys.stderr)
         return EXIT_BAD_INPUT
     dilations = [2.0**k for k in range(-args.dilations, args.dilations + 1)]
+    # check_gns measures at width * lam^2; a normal float a keeps pi/a finite
+    for width in widths:
+        for dilated in (width * lam * lam for lam in (dilations[0], dilations[-1])):
+            if not sys.float_info.min <= dilated < math.inf:
+                print(f"bad input: --dilations {args.dilations} takes width {width!r} to "
+                      f"{dilated!r}, outside the normal float range", file=sys.stderr)
+                return EXIT_BAD_INPUT
     report = check_gns(cert, widths, dilations)
-    outputs = []
-    if args.csv_out:
-        report.to_csv(args.csv_out)
-        outputs.append(args.csv_out)
-    print(
-        f"checked {len(report.rows)} ratios against value {cert.value!r}; "
-        f"worst slack = {report.worst_slack!r}; {'PASS' if report.ok else 'FAIL'}"
-    )
-    print(_manifest("verify gns", args, outputs))
-    if not report.ok:
-        for row in report.violations():
-            print(f"violation: {row}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    checked = f"checked {len(report.rows)} ratios against value {cert.value!r}"
+    return _report("verify gns", args, report, checked)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,8 +9,7 @@ and applying the smoothing estimates on each side:
     integrable against the endpoint exponents;
   * beta1 in (theta, 1) and beta2 in (0, theta);
   * the quantities beta1/r1 and (1-beta2)/r2 lie strictly inside open
-    intervals depending on (sigma, beta); see :func:`_r1_bounds` and
-    :func:`_r2_bounds`;
+    intervals depending on (sigma, beta); see :func:`section_edges`;
   * q1 and q2 are determined by the convexity conditions
     1/p = beta1/r1 + (1-beta1)/q1 = (1-beta2)/r2 + beta2/q2;
   * each of the four (output, input) exponent pairings admits a valid
@@ -106,20 +105,6 @@ def sigma_lower_bound(problem: GnsProblem) -> float:
     return max(0.0, 0.5 * (problem.s2 - problem.s) - 0.5 * problem.d * problem.p2.recip)
 
 
-def _r1_bounds(
-    p_recip: float, upper1: float, upper2: float, beta1: float
-) -> tuple[float, float]:
-    """Open-interval endpoints (lo, hi) for beta1/r1, unclamped."""
-    return p_recip - (1.0 - beta1) * upper2, beta1 * upper1
-
-
-def _r2_bounds(
-    p_recip: float, upper1: float, upper2: float, beta2: float
-) -> tuple[float, float]:
-    """Open-interval endpoints (lo, hi) for (1-beta2)/r2, unclamped."""
-    return p_recip - beta2 * upper1, (1.0 - beta2) * upper2
-
-
 def _derive_q_recips(
     p_recip: float, beta1: float, beta2: float, r1_recip: float, r2_recip: float
 ) -> tuple[float, float]:
@@ -163,8 +148,9 @@ def feasibility_margins(
     y1 = (1.0 - b1) * q1
     y2 = b2 * q2
     upper1, upper2 = _shifted_uppers(oriented, sigma)
-    lo1, hi1 = _r1_bounds(p_recip, upper1, upper2, b1)
-    lo2, hi2 = _r2_bounds(p_recip, upper1, upper2, b2)
+    # the open intervals of beta1/r1 and (1-beta2)/r2
+    lo1, hi1 = p_recip - (1.0 - b1) * upper2, b1 * upper1
+    lo2, hi2 = p_recip - b2 * upper1, (1.0 - b2) * upper2
     order1 = oriented.s + 2.0 * sigma - oriented.s1
     order2 = oriented.s + 2.0 * sigma - oriented.s2
 
@@ -238,38 +224,42 @@ def in_sigma(problem: GnsProblem, point: SigmaPoint) -> FeasibilityReport:
     return FeasibilityReport(ok=margins_ok(margins, closed, 0.0), margins=margins, closed=closed)
 
 
+def section_edges(
+    oriented: GnsProblem, sigma: float
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """Membership bounds on X = beta1/r1 at beta = beta1 and on X = beta2/q2 at
+    beta = beta2, as (lower, upper) edges (c0, c1): X >= or <= c0 + c1*beta.
+
+    The first edge of each list, a shifted-order interval end, is open.  The
+    others are closed: 0 <= X <= 1/p keeps the derived reciprocals
+    nonnegative, and at nonnegative shifted orders the pairing caps keep each
+    smoothing constant in its valid regime (at negative orders they coincide
+    with the open ends).  The caps imply that no reciprocal exceeds 1.
+    """
+    p_recip = oriented.p.recip
+    upper1, upper2 = _shifted_uppers(oriented, sigma)
+    lower = [(p_recip - upper2, upper2), (0.0, 0.0)]
+    upper = [(0.0, upper1), (p_recip, 0.0)]
+    if oriented.s + 2.0 * sigma - oriented.s2 >= 0.0:
+        lower.append((p_recip - oriented.p2.recip, oriented.p2.recip))
+    if oriented.s + 2.0 * sigma - oriented.s1 >= 0.0:
+        upper.append((0.0, oriented.p1.recip))
+    return lower, upper
+
+
 def candidate_box(
     oriented: GnsProblem, sigma: float, beta1: float, beta2: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Draw boxes for beta1/r1 and (1-beta2)/r2 on an oriented problem.
-
-    Intersects the open membership intervals with the closed ranges keeping
-    the reciprocals of r1, r2 and the derived q1, q2 inside [0, 1], and with
-    the pairing caps that keep all four smoothing constants in their valid
-    regime (at negative shifted orders the cap coincides with the interval's
-    own upper bound).  Either box may be empty (upper < lower) or degenerate
-    to a point; degeneracy is forced at p = inf, where both quantities must
-    vanish, and for problems whose exponents all coincide, where the box pins
-    the ratio quantities to the pairing boundary.
-    """
-    p_recip = oriented.p.recip
-    d = oriented.d
-    order1 = oriented.s + 2.0 * sigma - oriented.s1
-    order2 = oriented.s + 2.0 * sigma - oriented.s2
-    cap1 = oriented.p1.recip + min(order1, 0.0) / d
-    cap2 = oriented.p2.recip + min(order2, 0.0) / d
-    upper1, upper2 = _shifted_uppers(oriented, sigma)
-    lo1, hi1 = _r1_bounds(p_recip, upper1, upper2, beta1)
-    box1 = (
-        max(lo1, 0.0, p_recip - (1.0 - beta1) * cap2),
-        min(hi1, beta1, p_recip, beta1 * cap1),
+    """Draw boxes for beta1/r1 and (1-beta2)/r2: those of :func:`section_edges`
+    at beta1 and at beta2, the second mapped by (1-beta2)/r2 = 1/p - X.  Either
+    may be empty (upper < lower) or a point, as at p = inf, where both
+    quantities vanish, or where all exponents coincide and pin the pairings."""
+    lower, upper = section_edges(oriented, sigma)
+    box1, (lo, hi) = (
+        (max(c0 + c1 * beta for c0, c1 in lower), min(c0 + c1 * beta for c0, c1 in upper))
+        for beta in (beta1, beta2)
     )
-    lo2, hi2 = _r2_bounds(p_recip, upper1, upper2, beta2)
-    box2 = (
-        max(lo2, 0.0, p_recip - beta2 * cap1),
-        min(hi2, 1.0 - beta2, p_recip, (1.0 - beta2) * cap2),
-    )
-    return box1, box2
+    return box1, (oriented.p.recip - hi, oriented.p.recip - lo)
 
 
 def decode_candidate(
@@ -294,6 +284,26 @@ def decode_candidate(
     return SigmaPoint(beta1, beta2, r1, r2, q1, q2, sigma)
 
 
+def require_reachable(oriented: GnsProblem, theta_value: float) -> None:
+    """Raise :class:`StructurallyEmptyError` when no sigma can reach 1/p.
+
+    Each output reciprocal is capped by its endpoint reciprocal, so with
+    beta1 in (theta, 1) and beta2 in (0, theta) the convexity conditions
+    1/p = beta/r + (1-beta)/q reach at most
+    max(theta/p1 + (1-theta)/p2, min(1/p1, 1/p2)) on either side.
+    """
+    reachable = max(
+        theta_value * oriented.p1.recip + (1.0 - theta_value) * oriented.p2.recip,
+        min(oriented.p1.recip, oriented.p2.recip),
+    )
+    if oriented.p.recip > reachable + 1e-15:
+        raise StructurallyEmptyError(
+            "structurally empty: the split construction cannot reach the "
+            f"target reciprocal 1/p = {oriented.p.recip!r} (largest reachable "
+            f"value is {reachable!r})"
+        )
+
+
 def sample_sigma(
     problem: GnsProblem, n: int, seed: int, *, sigma_window: float = DEFAULT_SIGMA_WINDOW
 ) -> list[SigmaPoint]:
@@ -313,24 +323,7 @@ def sample_sigma(
         )
     oriented, _ = problem.oriented()
     theta_value = theta(oriented).value
-    # The smoothing pairings never lower integrability: each output
-    # reciprocal is capped by its endpoint reciprocal (negative shifted
-    # orders only tighten the caps), so each convexity condition
-    # 1/p = beta/r + (1-beta)/q is bounded by the corresponding capped
-    # combination.  With beta1 in (theta, 1) and beta2 in (0, theta), the
-    # largest reachable reciprocal on either side is
-    # max(theta/p1 + (1-theta)/p2, min(1/p1, 1/p2)); a target strictly above
-    # it makes the feasible set empty for every sigma.
-    reachable = max(
-        theta_value * oriented.p1.recip + (1.0 - theta_value) * oriented.p2.recip,
-        min(oriented.p1.recip, oriented.p2.recip),
-    )
-    if oriented.p.recip > reachable + 1e-15:
-        raise StructurallyEmptyError(
-            "structurally empty: the split construction cannot reach the "
-            f"target reciprocal 1/p = {oriented.p.recip!r} (largest reachable "
-            f"value is {reachable!r})"
-        )
+    require_reachable(oriented, theta_value)
     lb = sigma_lower_bound(oriented)
     rng = np.random.default_rng(seed)
     points: list[SigmaPoint] = []

@@ -21,19 +21,20 @@ found its point.  The corner route puts beta1 -> 1, beta2 -> 0: the direct
 two-term estimate, small t with (s2, p2) and large t with (s1, p1).  There
 the bound is smooth in sigma except at kinks, where a shifted order
 s + 2*sigma - s_j is an even integer >= 0.  Where :func:`_corner_is_optimal`
-holds, that is the answer.  Elsewhere the multistart runs simplex descent
-from sampled starts (seeded ``seed + start_index``) in logistic and softplus
-coordinates, and a feasible corner point still wins if it scores lower.
-Each route searches the configured sigma window and widens it once by the
-rule of :func:`_widened_search`.  Both decode with
-:func:`~gnsbound.feasible.decode_candidate` into a
-:class:`~gnsbound.feasible.SigmaPoint`, the seven floats every kernel reads,
-apply the rule of :func:`~gnsbound.feasible.in_sigma` and score it;
-non-members score a large penalty.
+holds, that is the answer.  Elsewhere the separable search runs, and its
+point replaces a feasible corner one only when lower by more than 1e-12
+relative.  It uses that at fixed sigma, log C_large depends on (beta1, r1)
+alone and log C_small on (beta2, r2) alone: one inner minimization over a box
+per beta (:func:`_side_profile`), and a table over beta pairs per sigma
+(:func:`_separable_at`).  Both routes are deterministic, search the
+configured sigma window, widen it once by the rule of
+:func:`_widened_search`, and score a candidate by the rule of
+:func:`~gnsbound.feasible.in_sigma`; non-members score a large penalty.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,43 +42,28 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping
 
-import numpy as np
-from scipy.special import expit
-
 from . import __version__
-from .errors import (
-    EmptyFeasibleError,
-    GnsboundError,
-    InadmissibleError,
-    InfeasibleError,
-    StructurallyEmptyError,
-)
+from .errors import EmptyFeasibleError, GnsboundError, InadmissibleError, InfeasibleError
 from .exponents import GnsProblem, LebesgueExponent, Theta, theta, validate
 from .feasible import (
     DEFAULT_SIGMA_WINDOW,
-    SIGMA_OFFSET_MIN,
     FeasibilityReport,
     SigmaPoint,
-    candidate_box,
     decode_candidate,
     feasibility_margins,
     in_sigma,
     margins_ok,
-    sample_sigma,
+    require_reachable,
+    section_edges,
     sigma_lower_bound,
 )
 from .parabolic import _log_a_par
 
-# Not called here: the descent evaluates _log_a_par on plain reciprocals.  The
+# Not called here: the search evaluates _log_a_par on plain reciprocals.  The
 # name stays importable from this module, where perfbench's tracer rebinds it.
 from .parabolic import a_par  # noqa: F401
 
 PENALTY = 1e100
-# Simplex descent per start: initial edge length in z, iteration cap, and the
-# spread of log values across the simplex at which it stops.
-SIMPLEX_STEP = 0.25
-MAX_ITERS = 2000
-REL_TOL = 1e-9
 # A loaded certificate's stored value must match the recomputed bound to this.
 CERT_VALUE_RTOL = 1e-9
 
@@ -93,33 +79,43 @@ KINK_SNAP_ULPS = 64
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # v0/(1 + v0), v0 = W(1/e) the root of log v + v + 1 = 0; see _corner_is_optimal.
 CORNER_THETA_MIN = 0.2784645427610738 / 1.2784645427610738
-ROUTES = ("corner", "multistart")
+# The separable search: golden-section evaluations per inner minimization and
+# per refined beta piece, and per inner minimization when screening a sigma;
+# kinks refined, the log margin of a screen over the best refined value within
+# which it is refined, and rounds of refinement.
+GOLDEN_EVALS = 18
+SCREEN_EVALS = 2
+REFINED_KINKS = 2
+SCREEN_SLACK = math.log(2.0)
+REFINE_ROUNDS = 2
+# Open edges, and betas beside a box break, are probed this far inside.
+EDGE_INSET = 2.0**-30
+# Beta nodes: 1 - beta1 and beta2 at BETA_GEOMETRIC (the last is the corner
+# ladder's last 1 - beta1) and BETA_INTERIOR even nodes; nodes closer than
+# NODE_GAP of the range bound no refined piece.
+BETA_GEOMETRIC = (2.0**-2, 2.0**-4, 2.0**-8, 2.0**-16, 2.0**-32, 2.0**-47)
+BETA_INTERIOR = 4
+NODE_GAP = 2.0**-20
+ROUTES = ("corner", "separable", "multistart")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    starts: int = 32
-    sample_per_start: int = 32
-    seed: int = 0
     sigma_window: float = DEFAULT_SIGMA_WINDOW
 
     def __post_init__(self) -> None:
-        if self.starts < 1 or self.sample_per_start < 1:
-            raise ValueError("counts must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if self.sigma_window <= 0.0:
             raise ValueError("sigma_window must be positive")
 
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """A feasible candidate, the bound value at it, and reproducibility data.
+    """A feasible candidate, the bound value at it, and how it was found.
 
     ``point`` is expressed in the oriented labeling (``relabeled`` records
     whether the endpoints were swapped to direct the chain); ``theta`` refers
     to the problem's labeling as given.  ``route`` names the search that found
-    the point; ``sample_count``, ``starts`` and ``seed`` echo the config.
+    the point, and ``sigma_window`` the window it searched.
     """
 
     problem: GnsProblem
@@ -127,9 +123,6 @@ class BoundCertificate:
     value: float
     theta: Theta
     margins: FeasibilityReport
-    sample_count: int
-    starts: int
-    seed: int
     relabeled: bool
     sigma_window: float
     route: str
@@ -242,133 +235,20 @@ def two_term_bound(
     return (term_small + term_large) * math.exp(-math.lgamma(point.sigma))
 
 
-# ---------------------------------------------------------------------------
-# Transformed coordinates for the simplex descent
-# ---------------------------------------------------------------------------
+def _orders_agree(oriented: GnsProblem, sigma: float) -> bool:
+    """Whether each shifted order s + 2*sigma - s_j has one sign and evenness as
+    :func:`_parts_at` rounds it and exactly (in units of the finest input ulp)."""
 
+    def regime(order: float | int, unit: int) -> tuple[int, bool]:
+        return (order > 0) - (order < 0), order >= 0 and order % (2 * unit) == 0
 
-def _softplus(z: float) -> float:
-    return float(np.logaddexp(0.0, z))
-
-
-def _softplus_inv(y: float) -> float:
-    y = max(y, 1e-300)
-    return y + math.log1p(-math.exp(-y)) if y > 1e-12 else math.log(math.expm1(y))
-
-
-def _logit(u: float) -> float:
-    u = min(max(u, 1e-12), 1.0 - 1e-12)
-    return math.log(u / (1.0 - u))
-
-
-def _point_from_z(
-    oriented: GnsProblem, theta_value: float, lb: float, z: np.ndarray
-) -> SigmaPoint | None:
-    """Decode a transformed coordinate vector; None if no candidate exists."""
-    u0, u1, _, u3, u4 = expit(z).tolist()
-    return decode_candidate(
-        oriented,
-        theta_value + (1.0 - theta_value) * u0,
-        theta_value * u1,
-        lb + SIGMA_OFFSET_MIN + _softplus(float(z[2])),
-        u3,
-        u4,
-    )
-
-
-def _z_from_point(
-    oriented: GnsProblem, theta_value: float, lb: float, point: SigmaPoint
-) -> np.ndarray:
-    z = np.zeros(5)
-    z[0] = _logit((point.beta1 - theta_value) / (1.0 - theta_value))
-    z[1] = _logit(point.beta2 / theta_value)
-    z[2] = _softplus_inv(max(point.sigma - lb - SIGMA_OFFSET_MIN, 1e-12))
-    box1, box2 = candidate_box(oriented, point.sigma, point.beta1, point.beta2)
-    for i, (box, x) in enumerate(
-        ((box1, point.beta1 * point.r1_recip), (box2, (1.0 - point.beta2) * point.r2_recip))
-    ):
-        lo, hi = box
-        z[3 + i] = 0.0 if hi <= lo else _logit((x - lo) / (hi - lo))
-    return z
-
-
-def _penalized_at(
-    oriented: GnsProblem, theta_value: float, point: SigmaPoint | None
-) -> float:
-    """Log objective at a decoded candidate; PENALTY unless it is a member."""
-    if point is None:
-        return PENALTY
-    if not margins_ok(*feasibility_margins(oriented, theta_value, point), 0.0):
-        return PENALTY
-    try:
-        return _log_objective_at(oriented, theta_value, point)
-    except (GnsboundError, ArithmeticError, ValueError):
-        return PENALTY
-
-
-def _penalized_log_objective(
-    oriented: GnsProblem, theta_value: float, lb: float
-) -> Callable[[np.ndarray], float]:
-    def fn(z: np.ndarray) -> float:
-        return _penalized_at(oriented, theta_value, _point_from_z(oriented, theta_value, lb, z))
-
-    return fn
-
-
-def _nelder_mead(
-    fn: Callable[[np.ndarray], float], z0: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Standard simplex descent; returns the best vertex ever visited.
-
-    The simplex is one (n+1) x n array, one vertex per row.
-    """
-    n = len(z0)
-    simplex = np.tile(z0, (n + 1, 1))
-    for i in range(n):
-        simplex[i + 1, i] += SIMPLEX_STEP
-    values = [fn(v) for v in simplex]
-    best_i = min(range(n + 1), key=lambda i: values[i])
-    best_z, best_f = simplex[best_i].copy(), values[best_i]
-
-    for _ in range(MAX_ITERS):
-        order = sorted(range(n + 1), key=lambda i: values[i])
-        simplex = simplex[order]
-        values = [values[i] for i in order]
-        if values[0] < best_f:
-            best_f, best_z = values[0], simplex[0].copy()
-        if values[-1] < PENALTY and values[-1] - values[0] < REL_TOL:
-            break
-        # the arithmetic of np.mean, without its per-call dispatch
-        centroid = simplex[:-1].sum(axis=0) / n
-        reflected = centroid + (centroid - simplex[-1])
-        f_r = fn(reflected)
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_e = fn(expanded)
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            if f_r < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-                f_c = fn(contracted)
-                accept = f_c <= f_r
-            else:
-                contracted = centroid + 0.5 * (simplex[-1] - centroid)
-                f_c = fn(contracted)
-                accept = f_c < values[-1]
-            if accept:
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                values[1:] = [fn(v) for v in simplex[1:]]
-    order = sorted(range(n + 1), key=lambda i: values[i])
-    if values[order[0]] < best_f:
-        best_f, best_z = values[order[0]], simplex[order[0]].copy()
-    return best_z, best_f
+    for s_j in (oriented.s1, oriented.s2):
+        ratios = [x.as_integer_ratio() for x in (oriented.s, 2.0 * sigma, -s_j)]
+        unit = max(den for _, den in ratios)
+        exact = sum(num * (unit // den) for num, den in ratios)
+        if regime(oriented.s + 2.0 * sigma - s_j, 1) != regime(exact, unit):
+            return False
+    return True
 
 
 def _kink_sigmas(oriented: GnsProblem, lb: float, window: float) -> list[float]:
@@ -377,7 +257,9 @@ def _kink_sigmas(oriented: GnsProblem, lb: float, window: float) -> list[float]:
     The smoothing constant is continuous from below at a kink and jumps above
     it.  Each kink is the largest float sigma whose order is at most 2k both
     exactly, in Fractions of the float inputs, and as :func:`_parts_at`
-    rounds it, so that both arithmetics evaluate the regime below the jump.
+    rounds it, and where both orders fall in the same regime in the two
+    arithmetics (:func:`_orders_agree`), so that both evaluate the same
+    regime below the jump.
     """
     kinks = set()
     for s_j in (oriented.s1, oriented.s2):
@@ -389,7 +271,7 @@ def _kink_sigmas(oriented: GnsProblem, lb: float, window: float) -> list[float]:
             if Fraction(sigma) > exact:
                 sigma = math.nextafter(sigma, -math.inf)
             for _ in range(KINK_SNAP_ULPS):
-                if oriented.s + 2.0 * sigma - s_j <= 2 * k:
+                if oriented.s + 2.0 * sigma - s_j <= 2 * k and _orders_agree(oriented, sigma):
                     kinks.add(sigma)
                     break
                 sigma = math.nextafter(sigma, -math.inf)
@@ -397,14 +279,18 @@ def _kink_sigmas(oriented: GnsProblem, lb: float, window: float) -> list[float]:
     return sorted(sigma for sigma in kinks if lb < sigma <= lb + window)
 
 
-def _golden_min(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """(value, x) at the best of PIECE_EVALS golden-section probes in (lo, hi).
+def _golden_min(
+    fn: Callable[[float], float], lo: float, hi: float, evals: int = PIECE_EVALS,
+    probes: tuple[float, ...] = (),
+) -> tuple[float, float]:
+    """(value, x) at the best of ``evals`` golden-section probes in (lo, hi)
+    and of the extra ``probes``.
 
     Ties move right: corner feasibility only gets easier as sigma grows.
     """
     c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     fc, fd = fn(c), fn(d)
-    for _ in range(PIECE_EVALS - 2):
+    for _ in range(evals - 2):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -413,7 +299,19 @@ def _golden_min(fn: Callable[[float], float], lo: float, hi: float) -> tuple[flo
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
             fd = fn(d)
-    return min((fc, c), (fd, d))
+    return min((fc, c), (fd, d), *((fn(x), x) for x in probes))
+
+
+def _penalized_at(
+    oriented: GnsProblem, theta_value: float, point: SigmaPoint | None
+) -> float:
+    """Log objective at a decoded candidate; PENALTY unless it is a member."""
+    if point is None or not margins_ok(*feasibility_margins(oriented, theta_value, point), 0.0):
+        return PENALTY
+    try:
+        return _log_objective_at(oriented, theta_value, point)
+    except (GnsboundError, ArithmeticError, ValueError):
+        return PENALTY
 
 
 def _corner_search(
@@ -471,55 +369,143 @@ def _widened_search(
     return None if found is None else (*found, window)
 
 
-def _run_pass(
-    problem: GnsProblem,
-    oriented: GnsProblem,
-    theta_value: float,
-    config: OptimizerConfig,
-    sigma_window: float,
-) -> tuple[float, SigmaPoint] | None:
-    """(log value, point) of the best of all starts at one sigma window.
+# ---------------------------------------------------------------------------
+# The separable search
+# ---------------------------------------------------------------------------
 
-    None when a start samples no feasible point, as when the window lies
-    below the feasible sigma range; a provably empty set raises.
+
+def _side_profile(
+    oriented: GnsProblem, sigma: float
+) -> tuple[Callable[[float, int], tuple[float, float]], list[float]]:
+    """(section, breaks) of the inner problem at one sigma.
+
+    ``section(beta, evals)`` is (min, argmin) of beta*log A(X/beta; p1) +
+    (1-beta)*log A((1/p - X)/(1-beta); p2) over the box of X in
+    :func:`~gnsbound.feasible.section_edges`, the argmin as a fraction of the
+    box: log C_large at beta = beta1, log C_small at beta = beta2.  An empty
+    box gives inf; closed edges are probed exactly, open ones EDGE_INSET of
+    the box inside.  ``breaks`` are where two edges bounding the box cross.
     """
-    lb = sigma_lower_bound(oriented)
-    fn = _penalized_log_objective(oriented, theta_value, lb)
-    best_point: SigmaPoint | None = None
-    best_val = math.inf
-    min_sampled = math.inf
-    for start in range(config.starts):
-        try:
-            points = sample_sigma(
-                problem, config.sample_per_start, config.seed + start, sigma_window=sigma_window
-            )
-        except StructurallyEmptyError:
-            raise
-        except EmptyFeasibleError:
-            return None
-        scored = [(_log_objective_at(oriented, theta_value, pt), pt) for pt in points]
-        start_val, start_pt = min(scored, key=lambda t: t[0])
-        min_sampled = min(min_sampled, start_val)
-        z0 = _z_from_point(oriented, theta_value, lb, start_pt)
-        z_best, f_best = _nelder_mead(fn, z0)
-        if f_best < min(best_val, start_val):
-            point = _point_from_z(oriented, theta_value, lb, z_best)
-            if point is not None:
-                best_point, best_val = point, f_best
-        elif start_val < best_val:
-            best_point, best_val = start_pt, start_val
-    assert best_point is not None
-    assert best_val <= min_sampled + 1e-12
-    return best_val, best_point
+    p, p1, p2, d = oriented.p.recip, oriented.p1.recip, oriented.p2.recip, oriented.d
+    order1, order2 = (oriented.s + 2.0 * sigma - s_j for s_j in (oriented.s1, oriented.s2))
+    lower, upper = section_edges(oriented, sigma)
+
+    def box(beta: float) -> tuple[list[float], list[float]]:
+        return [c0 + c1 * beta for c0, c1 in lower], [c0 + c1 * beta for c0, c1 in upper]
+
+    def section(beta: float, evals: int) -> tuple[float, float]:
+        lows, highs = box(beta)
+        lo, hi = max(lows), min(highs)
+        if not (lows[0] < hi and lo < highs[0] and lo <= hi):
+            return math.inf, lo
+
+        def log_const(u: float) -> float:
+            x = lo + u * (hi - lo)
+            try:
+                return beta * _log_a_par(min(1.0, x / beta), p1, order1, d) + (
+                    1.0 - beta
+                ) * _log_a_par(max(0.0, (p - x) / (1.0 - beta)), p2, order2, d)
+            except (GnsboundError, ArithmeticError, ValueError):
+                return math.inf
+
+        probes = (EDGE_INSET if lo == lows[0] else 0.0, 1.0 - EDGE_INSET if hi == highs[0] else 1.0)
+        return _golden_min(log_const, 0.0, 1.0, evals, probes) if hi > lo else (log_const(0.0), 0.0)
+
+    breaks = []
+    for (a0, a1), (b0, b1) in itertools.combinations(lower + upper, 2):
+        beta = (b0 - a0) / (a1 - b1) if a1 != b1 else -1.0
+        lows, highs = box(beta)
+        ends = (max(lows), min(highs))
+        if 0.0 < beta < 1.0 and all(
+            min(abs(v - end) for end in ends) <= 1e-12 for v in (a0 + a1 * beta, b0 + b1 * beta)
+        ):
+            breaks.append(beta)
+    return section, breaks
+
+
+def _separable_at(
+    oriented: GnsProblem, theta_value: float, sigma: float, refine: bool
+) -> tuple[float, SigmaPoint | None]:
+    """(log value, candidate) of the best beta pair at one sigma.
+
+    Each beta is tabulated at the box breaks and EDGE_INSET to either side,
+    at BETA_INTERIOR even nodes and at the BETA_GEOMETRIC nodes toward the
+    corner; the equalized bound is cheap on every pair of entries.  Without
+    ``refine`` that screens sigma (value only).  With it, REFINE_ROUNDS times,
+    each beta of the best pair is golden-section refined on the pieces to its
+    neighbouring nodes or, toward theta, the range end; pairs are then scored.
+    """
+    section, breaks = _side_profile(oriented, sigma)
+    half_dk = 0.5 * oriented.d * oriented.chain_gap()
+    log_front = math.log(2.0) - math.lgamma(sigma)
+
+    def log_value(pair: list[tuple[float, float, float]]) -> float:
+        (beta1, log_large, _), (beta2, log_small, _) = pair
+        a, b = (theta_value - beta2) * half_dk, (beta1 - theta_value) * half_dk
+        if not (a > 0.0 and b > 0.0 and log_large < math.inf and log_small < math.inf):
+            return math.inf
+        w = a / (a + b)
+        return log_front + (1.0 - w) * (log_small - math.log(a)) + w * (log_large - math.log(b))
+
+    ranges = ((theta_value, 1.0), (0.0, theta_value))
+    tables = []
+    for side, (lo, hi) in enumerate(ranges):
+        nodes = {lo + (hi - lo) * (i + 0.5) / BETA_INTERIOR for i in range(BETA_INTERIOR)}
+        nodes.update(1.0 - g if side == 0 else g for g in BETA_GEOMETRIC)
+        nodes.update(b + k * EDGE_INSET * (hi - lo) for b in breaks for k in (-1, 0, 1))
+        evals = GOLDEN_EVALS if refine else SCREEN_EVALS
+        tables.append(sorted((b, *section(b, evals)) for b in nodes if lo < b < hi))
+    cells = ((log_value([e1, e2]), [e1, e2]) for e1, e2 in itertools.product(*tables))
+    best, pair = min(cells, default=(math.inf, []))
+    if not refine or best == math.inf:
+        return min(best, PENALTY), None
+    found = [pair]
+    for _ in range(REFINE_ROUNDS):
+        for side, (lo, hi) in enumerate(ranges):
+            beta0, gap = pair[side][0], NODE_GAP * (hi - lo)
+            betas = [node[0] for node in tables[side]]
+            left = max((b for b in betas if b < beta0 - gap), default=(lo, beta0)[side])
+            right = min((b for b in betas if b > beta0 + gap), default=(beta0, hi)[side])
+            tried = {}
+
+            def along(beta: float) -> float:
+                trial = pair[:]
+                trial[side] = tried[beta] = (beta, *section(beta, GOLDEN_EVALS))
+                return log_value(trial)
+
+            for a, b in [(a, b) for a, b in ((left, beta0), (beta0, right)) if a < b]:
+                inset = EDGE_INSET * (b - a)
+                value, beta = _golden_min(along, a, b, GOLDEN_EVALS, (a + inset, b - inset))
+                if value < best:
+                    best, pair = value, [*pair[:side], tried[beta], *pair[side + 1 :]]
+        found.append(pair)
+    points = [  # the draw box of (1-beta2)/r2 is that of X = beta2/q2 reversed
+        decode_candidate(oriented, b1, b2, sigma, u1, 1 - u2) for (b1, _, u1), (b2, _, u2) in found
+    ]
+    return min(((_penalized_at(oriented, theta_value, p), p) for p in points), key=lambda f: f[0])
+
+
+def _separable_search(
+    oriented: GnsProblem, theta_value: float, lb: float, window: float
+) -> tuple[float, SigmaPoint] | None:
+    """(log value, candidate) of the separable search, or None: every kink
+    and the window top are screened, and the REFINED_KINKS best refined, a
+    later one only while its screen is within SCREEN_SLACK of the best."""
+    sigmas = {*_kink_sigmas(oriented, lb, window), lb + window}
+    screened = sorted((_separable_at(oriented, theta_value, s, False)[0], s) for s in sigmas)
+    best = (PENALTY, None)
+    for value, sigma in screened[:REFINED_KINKS]:
+        if value < best[0] + SCREEN_SLACK:
+            best = min(best, _separable_at(oriented, theta_value, sigma, True), key=lambda f: f[0])
+    return best if best[0] < PENALTY else None
 
 
 def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> BoundCertificate:
     """Minimize the bound over the feasible set; deterministic given (problem, config).
 
     Each search widens the sigma window once (see :func:`_widened_search`).
-    A provably empty feasible set propagates from the multistart as
-    :class:`StructurallyEmptyError`; when neither search finds a point,
-    :class:`EmptyFeasibleError` is raised.
+    A provably empty feasible set raises :class:`StructurallyEmptyError`;
+    when neither search finds a point, :class:`EmptyFeasibleError` is raised.
     """
     config = config or OptimizerConfig()
     report = validate(problem)
@@ -530,20 +516,21 @@ def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> Boun
         )
     oriented, swapped = problem.oriented()
     theta_oriented = theta(oriented).value
+    require_reachable(oriented, theta_oriented)
     lb = sigma_lower_bound(oriented)
 
     corner = partial(_corner_search, oriented, theta_oriented, lb)
     route, best = "corner", _widened_search(corner, lb, config.sigma_window)
     if best is None or not _corner_is_optimal(oriented, theta_oriented):
-        multistart = partial(_run_pass, problem, oriented, theta_oriented, config)
-        found = _widened_search(multistart, lb, config.sigma_window)
-        if found is not None and (best is None or found[0] <= best[0]):
-            route, best = "multistart", found
+        separable = partial(_separable_search, oriented, theta_oriented, lb)
+        found = _widened_search(separable, lb, config.sigma_window)
+        # a corner point is replaced only by one lower by more than 1e-12 relative
+        if found is not None and (best is None or found[0] < best[0] - 1e-12):
+            route, best = "separable", found
     if best is None:
         raise EmptyFeasibleError(
-            "no feasible point found by the corner search or the multistart "
-            f"({config.starts} starts x {config.sample_per_start} samples, seed "
-            f"{config.seed}, sigma window {config.sigma_window!r} and 4x that)"
+            "no feasible point found by the corner search or the separable search "
+            f"(sigma window {config.sigma_window!r} and 4x that)"
         )
     _, best_point, window = best
 
@@ -556,9 +543,6 @@ def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> Boun
         value=value,
         theta=theta(problem),
         margins=margins,
-        sample_count=config.starts * config.sample_per_start,
-        starts=config.starts,
-        seed=config.seed,
         relabeled=swapped,
         sigma_window=window,
         route=route,
@@ -592,9 +576,6 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
         "q2_recip": repr(cert.point.q2_recip),
         "margins_ok": cert.margins.ok,
         "min_margin": cert.margins.min_margin,
-        "sample_count": cert.sample_count,
-        "starts": cert.starts,
-        "seed": cert.seed,
         "relabeled": cert.relabeled,
         "sigma_window": cert.sigma_window,
         "route": cert.route,
@@ -615,7 +596,8 @@ def certificate_from_dict(doc: Mapping) -> BoundCertificate:
     point is infeasible or the stored value differs from the recomputed one
     by more than ``CERT_VALUE_RTOL``.  Keys it does not read, such as those
     only older format versions wrote, are ignored.  ``route`` takes no part in
-    the check; files before 0.3.0 lack it and came from the multistart.
+    the check; files before 0.3.0 lack it and came from the multistart, the
+    search before 0.4.0 that ``"multistart"`` still names.
     """
     problem = GnsProblem(
         d=int(doc["d"]),
@@ -644,9 +626,6 @@ def certificate_from_dict(doc: Mapping) -> BoundCertificate:
         value=value,
         theta=theta(problem),
         margins=in_sigma(problem, point),
-        sample_count=int(doc["sample_count"]),
-        starts=int(doc["starts"]),
-        seed=int(doc["seed"]),
         relabeled=problem.oriented()[1],
         sigma_window=float(doc["sigma_window"]),
         route=route,

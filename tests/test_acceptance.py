@@ -16,7 +16,6 @@ from gnsbound.cli import main as cli_main
 from gnsbound.exponents import GnsProblem, LebesgueExponent
 from gnsbound.feasible import sample_sigma
 from gnsbound.optimizer import (
-    OptimizerConfig,
     equalizing_t0,
     minimize,
     objective,
@@ -155,11 +154,10 @@ def test_criterion_5_smoothing_sweep():
 
 
 def test_criterion_6_end_to_end_bounds():
-    config = OptimizerConfig(starts=64, sample_per_start=32, seed=42)
     dilations = [2.0**k for k in range(-5, 6)]
     values = {}
     for name, problem in (("agmon", AGMON), ("fractional", FRACTIONAL)):
-        cert = minimize(problem, config)
+        cert = minimize(problem)
         assert cert.margins.ok
         values[name] = cert.value
         report = check_gns(cert, widths=(0.5, 1.0, 2.0), dilations=dilations)
@@ -188,7 +186,7 @@ def test_criterion_7_objective_cross_check():
                 value, rel=1e-9
             )
     # the certificate records the substitution value itself
-    cert = minimize(FRACTIONAL, OptimizerConfig(starts=4, sample_per_start=16, seed=5))
+    cert = minimize(FRACTIONAL)
     recomputed = two_term_bound(
         FRACTIONAL, cert.point, equalizing_t0(FRACTIONAL, cert.point)
     )

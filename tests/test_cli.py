@@ -42,7 +42,8 @@ class TestBoundCommand:
         assert code == 0
         manifest = json.loads(out.strip().splitlines()[-1])
         assert manifest["command"] == "bound"
-        assert manifest["seed"] == 1
+        assert manifest["parameters"]["seed"] == "1"
+        assert "seed" not in manifest  # the search is seedless
         assert "timestamp" in manifest
 
     def test_byte_determinism(self, tmp_path, capsys):
@@ -55,25 +56,26 @@ class TestBoundCommand:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        monkeypatch.setenv("GNS_SEED", "42")
-        code, _, _ = run(["bound", *AGMON_FLAGS, *FAST, "--json-out", str(paths[0])], capsys)
-        assert code == 0
-        monkeypatch.delenv("GNS_SEED")
-        code, _, _ = run(
-            ["bound", *AGMON_FLAGS, *FAST, "--seed", "42", "--json-out", str(paths[1])],
-            capsys,
-        )
-        assert code == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+    def test_search_flags_and_seed_variable_are_ignored(self, tmp_path, capsys, monkeypatch):
+        # --starts, --samples and --seed still parse, GNS_SEED is no longer
+        # read, and none of them changes the certificate
+        flags = ["bound", "--d", "1", "--s", "0.5", "--s1", "1", "--s2", "0",
+                 "--p", "4", "--p1", "2", "--p2", "2"]
+        payloads = []
+        for extra, env_seed in (([], None), (["--seed", "7", *FAST], None), ([], "abc")):
+            if env_seed is not None:
+                monkeypatch.setenv("GNS_SEED", env_seed)
+            path = tmp_path / f"{len(payloads)}.json"
+            code, _, err = run([*flags, *extra, "--json-out", str(path)], capsys)
+            assert code == 0 and err == ""
+            payloads.append(path.read_bytes())
+        assert payloads[0] == payloads[1] == payloads[2]
 
-    def test_manifest_echoes_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("GNS_SEED", "7")
-        code, out, _ = run(["bound", *AGMON_FLAGS, *FAST], capsys)
-        assert code == 0
-        manifest = json.loads(out.strip().splitlines()[-1])
-        assert manifest["seed"] == 7
+    def test_ignored_flags_are_hidden_from_help(self, capsys):
+        assert main(["bound", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--json-out" in out
+        assert not any(flag in out for flag in ("--starts", "--samples", "--seed"))
 
     def test_inadmissible_exit_2(self, capsys):
         code, _, err = run(
@@ -102,7 +104,7 @@ class TestBoundCommand:
         assert code == 4
         assert out == ""
         assert err.startswith("search exhausted:") and len(err.strip().splitlines()) == 1
-        assert "corner search" in err and "multistart" in err
+        assert "corner search" in err and "separable search" in err
 
     def test_endpoint_up_to_rounding_exit_2(self, capsys):
         # X = X1 = 2/3 exactly; rounding leaves a positive upper margin
@@ -288,39 +290,52 @@ def agmon_cert_path(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "argv, env_seed",
+    "argv",
     [
-        (["bound", *AGMON_FLAGS, "--starts", "0"], None),
-        (["bound", *AGMON_FLAGS, "--samples", "0"], None),
-        (["bound", *AGMON_FLAGS, *FAST, "--seed", "-1"], None),
-        (["bound", *AGMON_FLAGS, *FAST], "abc"),
-        (["bound", "--d", "1", "--s", "0", "--p", "1/0",
-          "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"], None),
-        (["bound", "--d", "1", "--s", "0", "--p=-inf",
-          "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"], None),
-        (["verify", "parabolic", "--grid", "small", "--widths", "inf"], None),
-        (["verify", "parabolic", "--grid", "small", "--widths", "nan"], None),
-        (["verify", "gns", "--cert", "CERT", "--widths", "1,inf"], None),
-        (["verify", "gns", "--cert", "CERT", "--dilations", "1100"], None),
-        (["parabolic", "--d", "1", "--s", "nan", "--r", "2", "--p", "2"], None),
-        (["parabolic", "--d", "1", "--s", "0", "--r", "2", "--p", "2", "--t", "inf"], None),
-        (["parabolic", "--d", "1", "--s", "700", "--r", "2", "--p", "2"], None),
+        ["bound", "--d", "1", "--s", "0", "--p", "1/0",
+         "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"],
+        ["bound", "--d", "1", "--s", "0", "--p=-inf",
+         "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"],
+        ["verify", "parabolic", "--grid", "small", "--widths", "inf"],
+        ["verify", "parabolic", "--grid", "small", "--widths", "nan"],
+        ["verify", "gns", "--cert", "CERT", "--widths", "1,inf"],
+        ["verify", "gns", "--cert", "CERT", "--dilations", "1100"],
+        ["verify", "gns", "--cert", "CERT", "--widths", "1", "--dilations", "512"],
+        ["verify", "gns", "--cert", "CERT", "--widths", "1", "--dilations", "1023"],
+        ["parabolic", "--d", "1", "--s", "nan", "--r", "2", "--p", "2"],
+        ["parabolic", "--d", "1", "--s", "0", "--r", "2", "--p", "2", "--t", "inf"],
+        ["parabolic", "--d", "1", "--s", "700", "--r", "2", "--p", "2"],
     ],
     ids=[
-        "starts-0", "samples-0", "seed-negative", "env-seed-abc", "p-1-over-0",
-        "p-minus-inf", "parabolic-widths-inf", "parabolic-widths-nan",
-        "gns-widths-inf", "gns-dilations-1100", "parabolic-s-nan", "parabolic-t-inf",
-        "parabolic-overflow",
+        "p-1-over-0", "p-minus-inf", "parabolic-widths-inf", "parabolic-widths-nan",
+        "gns-widths-inf", "gns-dilations-1100", "gns-dilations-512", "gns-dilations-1023",
+        "parabolic-s-nan", "parabolic-t-inf", "parabolic-overflow",
     ],
 )
-def test_bad_input_exits_2_with_one_line(argv, env_seed, agmon_cert_path, capsys, monkeypatch):
-    if env_seed is not None:
-        monkeypatch.setenv("GNS_SEED", env_seed)
+def test_bad_input_exits_2_with_one_line(argv, agmon_cert_path, capsys):
     argv = [agmon_cert_path if arg == "CERT" else arg for arg in argv]
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_dilations_reject_names_width_and_count(agmon_cert_path, capsys):
+    code, _, err = run(
+        ["verify", "gns", "--cert", agmon_cert_path, "--widths", "1", "--dilations", "512"],
+        capsys,
+    )
+    assert code == 2
+    assert "--dilations 512" in err and "width 1.0" in err
+
+
+def test_dilations_at_the_edge_of_float_range_pass(agmon_cert_path, capsys):
+    # width 4^-511 = 2^-1022 is the smallest normal float
+    code, out, _ = run(
+        ["verify", "gns", "--cert", agmon_cert_path, "--widths", "1", "--dilations", "511"],
+        capsys,
+    )
+    assert code == 0 and "PASS" in out
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

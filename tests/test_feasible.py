@@ -7,14 +7,12 @@ from gnsbound.exponents import GnsProblem, LebesgueExponent, theta, validate
 from gnsbound.feasible import (
     DEFAULT_MEMBERSHIP_MARGIN,
     _derive_q_recips,
-    _r1_bounds,
-    _r2_bounds,
-    _shifted_uppers,
     candidate_box,
     feasibility_margins,
     in_sigma,
     margins_ok,
     sample_sigma,
+    section_edges,
     sigma_lower_bound,
 )
 
@@ -39,14 +37,22 @@ class TestSigmaLowerBound:
         assert sigma_lower_bound(problem) == 0.0
 
 
+def _open_interval(problem, sigma, beta):
+    """The open ends of section_edges at beta: the interval of beta1/r1 at
+    beta = beta1, and of beta2/q2 = 1/p - (1-beta2)/r2 at beta = beta2."""
+    (lo0, lo1), (hi0, hi1) = (edges[0] for edges in section_edges(problem, sigma))
+    return lo0 + lo1 * beta, hi0 + hi1 * beta
+
+
 class TestIntervals:
     def test_r1_hand_value(self, agmon_problem):
-        uppers = _shifted_uppers(agmon_problem, 1.0)
-        assert _r1_bounds(agmon_problem.p.recip, *uppers, 0.75) == pytest.approx((-0.625, 1.125))
+        assert _open_interval(agmon_problem, 1.0, 0.75) == pytest.approx((-0.625, 1.125))
 
     def test_r2_hand_value(self, agmon_problem):
-        uppers = _shifted_uppers(agmon_problem, 1.0)
-        assert _r2_bounds(agmon_problem.p.recip, *uppers, 0.25) == pytest.approx((-0.375, 1.875))
+        # (1-beta2)/r2 ranges over 1/p minus the interval of beta2/q2
+        lo, hi = _open_interval(agmon_problem, 1.0, 0.25)
+        p_recip = agmon_problem.p.recip
+        assert (p_recip - hi, p_recip - lo) == pytest.approx((-0.375, 1.875))
 
     def test_unclamped_nonempty_for_oriented(self, fractional_problem):
         oriented, _ = fractional_problem.oriented()
@@ -54,8 +60,7 @@ class TestIntervals:
         lb = sigma_lower_bound(oriented)
         for beta1 in (th + 0.05, th + 0.3, 0.95):
             for sigma in (lb + 0.01, lb + 1.0, lb + 5.0):
-                uppers = _shifted_uppers(oriented, sigma)
-                lo, hi = _r1_bounds(oriented.p.recip, *uppers, beta1)
+                lo, hi = _open_interval(oriented, sigma, beta1)
                 assert max(lo, 0.0) < min(hi, beta1)
 
     def test_empty_is_a_value(self):
@@ -255,8 +260,7 @@ class TestSampler:
             th = theta(oriented).value
             lb = sigma_lower_bound(oriented)
             beta1 = th + 0.5 * (1 - th)
-            uppers = _shifted_uppers(oriented, lb + 0.5)
-            lo, hi = _r1_bounds(oriented.p.recip, *uppers, beta1)
+            lo, hi = _open_interval(oriented, lb + 0.5, beta1)
             unclamped_width = (beta1 - th) * oriented.chain_gap() + 2 * (lb + 0.5) / d
             assert unclamped_width > 0
             assert hi - lo == pytest.approx(unclamped_width, abs=1e-12)

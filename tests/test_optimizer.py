@@ -4,14 +4,19 @@ import math
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gnsbound.errors import EmptyFeasibleError, InadmissibleError, InfeasibleError
 from gnsbound.exponents import GnsProblem, LebesgueExponent, theta, validate
-from gnsbound.feasible import SigmaPoint, in_sigma, sample_sigma, sigma_lower_bound
+from gnsbound.feasible import (
+    SigmaPoint,
+    decode_candidate,
+    in_sigma,
+    sample_sigma,
+    sigma_lower_bound,
+)
 from gnsbound.optimizer import (
     CORNER_THETA_MIN,
     PENALTY,
@@ -20,10 +25,10 @@ from gnsbound.optimizer import (
     _corner_search,
     _kink_sigmas,
     _log_objective_at,
+    _orders_agree,
     _parts_at,
-    _penalized_log_objective,
-    _point_from_z,
-    _run_pass,
+    _penalized_at,
+    _separable_search,
     _widened_search,
     certificate_from_dict,
     certificate_json,
@@ -36,8 +41,6 @@ from gnsbound.optimizer import (
 
 TWO = LebesgueExponent(0.5)
 INF = LebesgueExponent(0.0)
-
-FAST = OptimizerConfig(starts=8, sample_per_start=16, seed=42)
 
 # (d, s, s1, s2, p, p1, p2) of the seven benchmark certify problems: d = 1..3,
 # both orientations, p finite and infinite.
@@ -165,20 +168,20 @@ def _log_objective_via_a_par(oriented, th, point):
 class TestPenalizedObjectiveParity:
     @given(
         index=st.integers(0, len(CERTIFY_PROBLEMS) - 1),
-        z=st.lists(st.floats(-8.0, 8.0), min_size=5, max_size=5),
+        u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        offset=st.floats(1e-6, 12.0),
     )
     @settings(max_examples=400, deadline=None)
-    def test_descent_objective_matches_object_path(self, index, z):
-        # the descent evaluates on plain floats; wherever the candidate is a
-        # member it must return the object path's value bit for bit, and the
-        # penalty everywhere else
+    def test_descent_objective_matches_object_path(self, index, u, offset):
+        # the search scores decoded candidates on plain floats; wherever the
+        # candidate is a member it must return the object path's value bit for
+        # bit, and the penalty everywhere else
         problem = CERTIFY_PROBLEMS[index]
         oriented, _ = problem.oriented()
         th = theta(oriented).value
-        lb = sigma_lower_bound(oriented)
-        zv = np.array(z)
-        got = _penalized_log_objective(oriented, th, lb)(zv)
-        point = _point_from_z(oriented, th, lb, zv)
+        sigma = sigma_lower_bound(oriented) + offset
+        point = decode_candidate(oriented, th + (1.0 - th) * u[0], th * u[1], sigma, u[2], u[3])
+        got = _penalized_at(oriented, th, point)
         if point is None or not in_sigma(problem, point).ok:
             assert got == PENALTY
         else:
@@ -188,8 +191,8 @@ class TestPenalizedObjectiveParity:
 
 class TestMinimize:
     def test_reference_values_unchanged(self, agmon_problem, fractional_problem):
-        # certificate values and witnesses at FAST from version 0.3.0, all on
-        # the corner route; a change that keeps the bound must reproduce them
+        # certificate values and witnesses from version 0.3.0, all on the
+        # corner route; a change that keeps the bound must reproduce them
         # to the last bit (problem, (value, beta1, beta2, sigma)).  The d = 3
         # kink sits at sigma = 1.5 exactly; it was once certified one float
         # above, where the exact shifted orders are past the jump
@@ -203,13 +206,14 @@ class TestMinimize:
             ),
         ]
         for problem, want in expected:
-            cert = minimize(problem, FAST)
+            cert = minimize(problem)
             assert cert.route == "corner"
             assert (cert.value, cert.point.beta1, cert.point.beta2, cert.point.sigma) == want
 
     def test_corner_infeasible_problem_keeps_the_multistart(self):
         # p2 = inf > p: r2 -> p cannot pair with p2 at order >= 0, so no
-        # corner point is feasible; the certificate is the 0.2.0 one
+        # corner point is feasible; the separable search replaces the 0.2.0
+        # multistart, whose certificate was 3.69729802092843
         problem = GnsProblem(
             2, 0.0, 1.0, 0.0, LebesgueExponent.parse("3"), LebesgueExponent(1.0), INF
         )
@@ -217,33 +221,34 @@ class TestMinimize:
         lb = sigma_lower_bound(oriented)
         assert _corner_search(oriented, theta(oriented).value, lb, 40.0) is None
         cert = minimize(problem)
-        assert cert.route == "multistart"
-        assert cert.value == 3.69729802092843
+        assert cert.route == "separable"
+        assert cert.value == 3.6972980083113267
         assert cert.point == (
-            0.9999999999972935, 0.33333333511623553, 0.3333333333342355, 0.0,
-            0.0, 0.9999999946512934, 0.49999999999999994,
+            0.9999999999999929, 0.33333333379899466, 0.3333333333333357, 0.0,
+            0.0, 0.999999998603016, 0.5,
         )
         assert cert.sigma_window == 10.0
 
     def test_corner_loses_outside_the_proven_class(self):
         # p = 4, p1 = p2 = 1: the output exponents are not forced to p, and
-        # interior betas beat the corner by 1.7%
+        # interior betas at sigma = 1/4 beat the corner, at sigma = 1, by 2.8%
         problem = GnsProblem(
             2, 0.0, 2.0, 0.5, LebesgueExponent.parse("4"), LebesgueExponent(1.0),
             LebesgueExponent(1.0),
         )
         oriented, _ = problem.oriented()
         th = theta(oriented).value
-        corner = _corner_search(oriented, th, sigma_lower_bound(oriented), FAST.sigma_window)
+        corner = _corner_search(oriented, th, sigma_lower_bound(oriented), 10.0)
         assert corner is not None and not _corner_is_optimal(oriented, th)
-        cert = minimize(problem, FAST)
-        assert cert.route == "multistart"
+        cert = minimize(problem)
+        assert cert.route == "separable"
         assert cert.value < math.exp(corner[0]) * (1.0 - 1e-2)
+        assert cert.value < 1.2127 and cert.point.sigma == 0.25
 
     @pytest.mark.parametrize("index", [0, 2, 5, 6])
     def test_corner_route_evaluation_budget(self, index, monkeypatch):
         # the benchmark problems in the class where the corner is optimal
-        # (p = inf, or p = p1 = p2) never run the multistart
+        # (p = inf, or p = p1 = p2) never run the separable search
         from gnsbound import optimizer
 
         calls = []
@@ -258,6 +263,24 @@ class TestMinimize:
         assert cert.route == "corner"
         assert len(calls) <= 2000
 
+    @pytest.mark.parametrize("index", [1, 3, 4])
+    def test_separable_route_evaluation_budget(self, index, monkeypatch):
+        # fractional, d2_s0 and d2_half, which verify's set-up certifies, run
+        # both searches; the corner still wins on each
+        from gnsbound import optimizer
+
+        calls = []
+        original = optimizer._log_a_par
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(optimizer, "_log_a_par", counting)
+        cert = minimize(CERTIFY_PROBLEMS[index])
+        assert cert.route == "corner"
+        assert len(calls) <= 30_000
+
     @given(
         d=st.sampled_from([1, 2, 3]),
         orders=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=3, max_size=3),
@@ -265,16 +288,18 @@ class TestMinimize:
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_corner_route_never_loses_to_the_multistart(self, d, orders, exps):
+        # the corner is kept only where the separable search does not beat it
         problem = GnsProblem(d, *orders, *(LebesgueExponent.parse(e) for e in exps))
         assume(validate(problem).admissible)
         try:
-            cert = minimize(problem, FAST)
+            cert = minimize(problem)
         except EmptyFeasibleError:
             return
         if cert.route == "corner":
             oriented, _ = problem.oriented()
-            multistart = partial(_run_pass, problem, oriented, theta(oriented).value, FAST)
-            found = _widened_search(multistart, sigma_lower_bound(oriented), FAST.sigma_window)
+            separable = partial(_separable_search, oriented, theta(oriented).value)
+            lb = sigma_lower_bound(oriented)
+            found = _widened_search(partial(separable, lb), lb, 10.0)
             assert found is not None
             assert cert.value <= objective(problem, found[1]) * (1.0 + 1e-12)
 
@@ -292,12 +317,22 @@ class TestMinimize:
 
     def test_kinks_are_the_last_floats_below_the_jump(self):
         # every kink is the largest float sigma whose shifted order is at most
-        # its even integer 2k both exactly and as _parts_at rounds it
+        # its even integer 2k both exactly and as _parts_at rounds it, and
+        # where both orders have the same sign and evenness in the two
         orders = [0.0, 1.0 / 3.0, 0.5, 1.0, 1.5, 2.0, 2.5]
 
+        def regime(x):
+            return (x > 0) - (x < 0), x >= 0 and x == 2 * math.floor(x / 2)
+
         def below(s, s_j, k, sigma):
-            exact = Fraction(s) + 2 * Fraction(sigma) - Fraction(s_j)
-            return exact <= 2 * k and s + 2.0 * sigma - s_j <= 2 * k
+            for s_i in (s1, s2):
+                exact = Fraction(s) + 2 * Fraction(sigma) - Fraction(s_i)
+                rounded = s + 2.0 * sigma - s_i
+                if regime(exact) != regime(rounded):
+                    return False
+                if s_i == s_j and not (exact <= 2 * k and rounded <= 2 * k):
+                    return False
+            return True
 
         lb, window = 0.25, 4.0
         for s, s1, s2 in itertools.product(orders, repeat=3):
@@ -315,52 +350,36 @@ class TestMinimize:
                         assert not below(s, s_j, k, math.nextafter(sigma, math.inf))
             assert kinks == sorted(want), (s, s1, s2)
 
-    def test_saturated_logistic_decodes_to_none(self, agmon_problem):
-        # expit(40) rounds to 1.0, so beta1 = 1 and the convexity condition
-        # for q1 cannot be solved
-        oriented, _ = agmon_problem.oriented()
-        th = theta(oriented).value
-        z = np.array([40.0, 0.0, 0.0, 0.0, 0.0])
-        assert _point_from_z(oriented, th, sigma_lower_bound(oriented), z) is None
-
     def test_agmon_certificate(self, agmon_problem):
-        cert = minimize(agmon_problem, FAST)
+        cert = minimize(agmon_problem)
         assert cert.margins.ok
         assert cert.value >= 1.0  # cannot beat the known sharp constant
         assert cert.theta.value == pytest.approx(0.5)
         assert cert.relabeled
 
     def test_certificate_self_consistency(self, fractional_problem):
-        cert = minimize(fractional_problem, FAST)
+        cert = minimize(fractional_problem)
         assert objective(fractional_problem, cert.point) == pytest.approx(
             cert.value, rel=1e-12
         )
 
     def test_certificate_dominated_by_samples(self, fractional_problem):
-        cert = minimize(fractional_problem, FAST)
-        for start in range(FAST.starts):
+        cert = minimize(fractional_problem)
+        for seed in range(8):
             for point in sample_sigma(
-                fractional_problem,
-                FAST.sample_per_start,
-                seed=FAST.seed + start,
-                sigma_window=cert.sigma_window,
+                fractional_problem, 16, seed=seed, sigma_window=cert.sigma_window
             ):
                 assert cert.value <= objective(fractional_problem, point) + 1e-9
 
     def test_determinism(self, fractional_problem):
-        a = minimize(fractional_problem, FAST)
-        b = minimize(fractional_problem, FAST)
+        a = minimize(fractional_problem)
+        b = minimize(fractional_problem)
         assert certificate_json(a) == certificate_json(b)
-
-    def test_doubling_starts_never_increases(self, fractional_problem):
-        small = minimize(fractional_problem, OptimizerConfig(starts=4, sample_per_start=16, seed=42))
-        large = minimize(fractional_problem, OptimizerConfig(starts=8, sample_per_start=16, seed=42))
-        assert large.value <= small.value + 1e-12
 
     def test_inadmissible(self):
         problem = GnsProblem(1, 1.0, 1.0, 0.0, TWO, TWO, TWO)
         with pytest.raises(InadmissibleError):
-            minimize(problem, FAST)
+            minimize(problem)
 
     def test_coinciding_exponents_pin_pairing_boundary(self):
         # with all three exponents equal, the convexity conditions and the
@@ -373,7 +392,7 @@ class TestMinimize:
             for recip in (point.r1_recip, point.q1_recip, point.r2_recip, point.q2_recip):
                 assert recip == pytest.approx(0.5, abs=1e-12)
             assert point.sigma > 0.5  # keeps the shifted orders nonnegative
-        cert = minimize(problem, FAST)
+        cert = minimize(problem)
         assert cert.margins.ok
         assert cert.value <= min(objective(problem, pt) for pt in points) + 1e-12
 
@@ -382,7 +401,7 @@ class TestMinimize:
         # allowed expansion at the sampling stage
         cert = minimize(
             fractional_problem,
-            OptimizerConfig(starts=6, sample_per_start=16, seed=42, sigma_window=0.05),
+            OptimizerConfig(sigma_window=0.05),
         )
         assert cert.sigma_window == pytest.approx(0.2)
         assert cert.margins.ok
@@ -413,18 +432,18 @@ class TestMinimize:
             1, 0.0, -1.0, 1.0, LebesgueExponent(1.0), TWO, TWO
         )
         with pytest.raises(StructurallyEmptyError):
-            minimize(problem, FAST)
+            minimize(problem)
 
     def test_planar_instance(self):
         problem = GnsProblem(2, 0.0, 1.0, 0.0, LebesgueExponent(0.25), TWO, TWO)
-        cert = minimize(problem, FAST)
+        cert = minimize(problem)
         assert cert.margins.ok
         assert cert.theta.value == pytest.approx(0.5)
 
 
 class TestSerialization:
     def test_round_trip(self, agmon_problem):
-        cert = minimize(agmon_problem, FAST)
+        cert = minimize(agmon_problem)
         doc = json.loads(certificate_json(cert))
         assert doc["route"] == "corner"
         # a version 0.1.0 file also carried the alt_form_agrees flag
@@ -439,7 +458,7 @@ class TestSerialization:
             certificate_from_dict({**doc, "route": "guess"})
 
     def test_stored_verdicts_are_not_trusted(self, agmon_problem):
-        doc = json.loads(certificate_json(minimize(agmon_problem, FAST)))
+        doc = json.loads(certificate_json(minimize(agmon_problem)))
         infeasible = {
             **doc, "beta1": 0.1, "sigma": -5.0, "value": 1e9,
             "margins_ok": True, "theta": 0.2,
@@ -453,7 +472,7 @@ class TestSerialization:
         assert certificate_from_dict(edited) == certificate_from_dict(doc)
 
     def test_flat_keys_and_decimal_strings(self, agmon_problem):
-        cert = minimize(agmon_problem, FAST)
+        cert = minimize(agmon_problem)
         doc = certificate_to_dict(cert)
         assert doc["artifact_version"]
         assert isinstance(doc["p_recip"], str)

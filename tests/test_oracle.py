@@ -5,7 +5,7 @@ import pytest
 
 from gnsbound.errors import AccuracyError, DomainError
 from gnsbound.exponents import GnsProblem, LebesgueExponent, theta
-from gnsbound.optimizer import OptimizerConfig, minimize
+from gnsbound.optimizer import minimize
 from gnsbound.oracle import (
     _KERNEL_PREFACTOR,
     _KERNEL_SERIES,
@@ -278,7 +278,7 @@ class TestYoungExtremizers:
 @pytest.fixture(scope="module")
 def agmon_cert():
     problem = GnsProblem(1, 0.0, 1.0, 0.0, INF, TWO, TWO)
-    return minimize(problem, OptimizerConfig(starts=8, sample_per_start=16, seed=42))
+    return minimize(problem)
 
 
 class TestGnsSweep:
