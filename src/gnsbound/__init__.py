@@ -50,7 +50,6 @@ from .feasible import (
 )
 from .optimizer import (
     BoundCertificate,
-    OptimizerConfig,
     certificate_from_dict,
     certificate_json,
     certificate_to_dict,
@@ -103,7 +102,6 @@ __all__ = [
     "sample_sigma",
     "sigma_lower_bound",
     "BoundCertificate",
-    "OptimizerConfig",
     "certificate_from_dict",
     "certificate_json",
     "certificate_to_dict",

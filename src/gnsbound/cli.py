@@ -141,8 +141,12 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     cert = minimize(problem)
     outputs = []
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(certificate_json(cert))
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as handle:
+                handle.write(certificate_json(cert))
+        except OSError as exc:
+            print(f"bad output path: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         outputs.append(args.json_out)
     print(f"value = {cert.value!r}")
     print(f"theta = {cert.theta.value!r}")
@@ -182,7 +186,11 @@ def _report(command: str, args: argparse.Namespace, report: SweepReport, checked
     """Write the CSV, print the summary and the manifest, list violations."""
     outputs = []
     if args.csv_out:
-        report.to_csv(args.csv_out)
+        try:
+            report.to_csv(args.csv_out)
+        except OSError as exc:
+            print(f"bad output path: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         outputs.append(args.csv_out)
     print(f"{checked}; worst slack = {report.worst_slack!r}; {'PASS' if report.ok else 'FAIL'}")
     print(_manifest(command, args, outputs))

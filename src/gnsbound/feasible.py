@@ -304,16 +304,14 @@ def require_reachable(oriented: GnsProblem, theta_value: float) -> None:
         )
 
 
-def sample_sigma(
-    problem: GnsProblem, n: int, seed: int, *, sigma_window: float = DEFAULT_SIGMA_WINDOW
-) -> list[SigmaPoint]:
+def sample_sigma(problem: GnsProblem, n: int, seed: int) -> list[SigmaPoint]:
     """Up to n feasible candidates, deterministically from the seed.
 
     Betas are drawn uniformly inside their buffered ranges, sigma is drawn
-    log-uniformly in offset from its lower bound within ``sigma_window``, and
-    the two ratio quantities uniformly inside their draw boxes; candidates
-    failing membership at ``DEFAULT_MEMBERSHIP_MARGIN`` are rejected.  Raises
-    if no feasible point is found within 100*n attempts.
+    log-uniformly in offset from its lower bound within the search's window
+    DEFAULT_SIGMA_WINDOW, and the two ratio quantities uniformly inside their
+    draw boxes; candidates failing membership at ``DEFAULT_MEMBERSHIP_MARGIN``
+    are rejected.  Raises if no feasible point is found within 100*n attempts.
     """
     report = validate(problem)
     if not report.admissible:
@@ -329,7 +327,7 @@ def sample_sigma(
     points: list[SigmaPoint] = []
     beta1_lo, beta1_hi = theta_value + BETA_BUFFER, 1.0 - BETA_BUFFER
     beta2_lo, beta2_hi = BETA_BUFFER, theta_value - BETA_BUFFER
-    log_off_lo, log_off_hi = math.log(SIGMA_OFFSET_MIN), math.log(sigma_window)
+    log_off_lo, log_off_hi = math.log(SIGMA_OFFSET_MIN), math.log(DEFAULT_SIGMA_WINDOW)
 
     for _ in range(100 * n):
         if len(points) == n:

@@ -26,10 +26,10 @@ point replaces a feasible corner one only when lower by more than 1e-12
 relative.  It uses that at fixed sigma, log C_large depends on (beta1, r1)
 alone and log C_small on (beta2, r2) alone: one inner minimization over a box
 per beta (:func:`_side_profile`), and a table over beta pairs per sigma
-(:func:`_separable_at`).  Both routes are deterministic, search the
-configured sigma window, widen it once by the rule of
-:func:`_widened_search`, and score a candidate by the rule of
-:func:`~gnsbound.feasible.in_sigma`; non-members score a large penalty.
+(:func:`_separable_at`).  Both routes are deterministic, search the one
+sigma window (lb, lb + DEFAULT_SIGMA_WINDOW], and score a candidate by the
+rule of :func:`~gnsbound.feasible.in_sigma`; non-members score a large
+penalty.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Mapping
 
 from . import __version__
@@ -100,22 +99,14 @@ ROUTES = ("corner", "separable", "multistart")
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    sigma_window: float = DEFAULT_SIGMA_WINDOW
-
-    def __post_init__(self) -> None:
-        if self.sigma_window <= 0.0:
-            raise ValueError("sigma_window must be positive")
-
-
-@dataclass(frozen=True)
 class BoundCertificate:
     """A feasible candidate, the bound value at it, and how it was found.
 
     ``point`` is expressed in the oriented labeling (``relabeled`` records
     whether the endpoints were swapped to direct the chain); ``theta`` refers
     to the problem's labeling as given.  ``route`` names the search that found
-    the point, and ``sigma_window`` the window it searched.
+    the point, and ``sigma_window`` the width of the sigma window searched,
+    DEFAULT_SIGMA_WINDOW (files from the widening search may hold 40.0).
     """
 
     problem: GnsProblem
@@ -353,22 +344,6 @@ def _corner_is_optimal(oriented: GnsProblem, theta_value: float) -> bool:
     return forced and CORNER_THETA_MIN <= theta_value <= 1.0 - CORNER_THETA_MIN
 
 
-def _widened_search(
-    search: Callable[[float], tuple[float, SigmaPoint] | None], lb: float, window: float
-) -> tuple[float, SigmaPoint, float] | None:
-    """(log value, point, window) of ``search`` at the sigma window, or None.
-
-    The search runs once more at a 4x window when it finds nothing or its
-    best sigma lies within 1% of the upper edge; the better result is kept.
-    """
-    found = search(window)
-    if found is None or found[1].sigma > lb + 0.99 * window:
-        wide = search(4.0 * window)
-        if wide is not None and (found is None or wide[0] < found[0]):
-            return (*wide, 4.0 * window)
-    return None if found is None else (*found, window)
-
-
 # ---------------------------------------------------------------------------
 # The separable search
 # ---------------------------------------------------------------------------
@@ -489,10 +464,10 @@ def _separable_search(
     oriented: GnsProblem, theta_value: float, lb: float, window: float
 ) -> tuple[float, SigmaPoint] | None:
     """(log value, candidate) of the separable search, or None: every kink
-    and the window top are screened, and the REFINED_KINKS best refined, a
-    later one only while its screen is within SCREEN_SLACK of the best."""
-    sigmas = {*_kink_sigmas(oriented, lb, window), lb + window}
-    screened = sorted((_separable_at(oriented, theta_value, s, False)[0], s) for s in sigmas)
+    is screened, and the REFINED_KINKS best refined, a later one only while
+    its screen is within SCREEN_SLACK of the best."""
+    kinks = _kink_sigmas(oriented, lb, window)
+    screened = sorted((_separable_at(oriented, theta_value, s, False)[0], s) for s in kinks)
     best = (PENALTY, None)
     for value, sigma in screened[:REFINED_KINKS]:
         if value < best[0] + SCREEN_SLACK:
@@ -500,14 +475,13 @@ def _separable_search(
     return best if best[0] < PENALTY else None
 
 
-def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> BoundCertificate:
-    """Minimize the bound over the feasible set; deterministic given (problem, config).
+def minimize(problem: GnsProblem) -> BoundCertificate:
+    """Minimize the bound over the feasible set; deterministic given the problem.
 
-    Each search widens the sigma window once (see :func:`_widened_search`).
-    A provably empty feasible set raises :class:`StructurallyEmptyError`;
-    when neither search finds a point, :class:`EmptyFeasibleError` is raised.
+    Each route searches sigma in (lb, lb + DEFAULT_SIGMA_WINDOW] once.  A
+    provably empty feasible set raises :class:`StructurallyEmptyError`; when
+    neither search finds a point, :class:`EmptyFeasibleError` is raised.
     """
-    config = config or OptimizerConfig()
     report = validate(problem)
     if not report.admissible:
         raise InadmissibleError(
@@ -518,21 +492,20 @@ def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> Boun
     theta_oriented = theta(oriented).value
     require_reachable(oriented, theta_oriented)
     lb = sigma_lower_bound(oriented)
+    search = (oriented, theta_oriented, lb, DEFAULT_SIGMA_WINDOW)
 
-    corner = partial(_corner_search, oriented, theta_oriented, lb)
-    route, best = "corner", _widened_search(corner, lb, config.sigma_window)
+    route, best = "corner", _corner_search(*search)
     if best is None or not _corner_is_optimal(oriented, theta_oriented):
-        separable = partial(_separable_search, oriented, theta_oriented, lb)
-        found = _widened_search(separable, lb, config.sigma_window)
+        found = _separable_search(*search)
         # a corner point is replaced only by one lower by more than 1e-12 relative
         if found is not None and (best is None or found[0] < best[0] - 1e-12):
             route, best = "separable", found
     if best is None:
         raise EmptyFeasibleError(
             "no feasible point found by the corner search or the separable search "
-            f"(sigma window {config.sigma_window!r} and 4x that)"
+            f"(sigma window {DEFAULT_SIGMA_WINDOW!r})"
         )
-    _, best_point, window = best
+    best_point = best[1]
 
     value = objective(problem, best_point)
     margins = in_sigma(problem, best_point)
@@ -544,7 +517,7 @@ def minimize(problem: GnsProblem, config: OptimizerConfig | None = None) -> Boun
         theta=theta(problem),
         margins=margins,
         relabeled=swapped,
-        sigma_window=window,
+        sigma_window=DEFAULT_SIGMA_WINDOW,
         route=route,
     )
 

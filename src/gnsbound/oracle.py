@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -106,13 +107,22 @@ class RadialTestFunction:
 
 
 def gaussian_lp_norm(width: float, d: int, p: LebesgueExponent) -> float:
-    """Closed-form Lp norm of exp(-width*|x|^2): (pi/(p*width))^(d/(2p))."""
+    """Closed-form Lp norm of exp(-width*|x|^2): (pi/(p*width))^(d/(2p)).
+
+    Raises :class:`AccuracyError` when it is not a positive normal float.
+    """
     if width <= 0.0:
         raise DomainError(f"width must be positive, got {width!r}")
     u = p.recip
     if u == 0.0:
         return 1.0
-    return (math.pi * u / width) ** (0.5 * d * u)
+    try:
+        norm = (math.pi * u / width) ** (0.5 * d * u)
+    except OverflowError:
+        norm = math.inf
+    if not sys.float_info.min <= norm < math.inf:
+        raise AccuracyError(f"Gaussian norm at width {width!r} is {norm!r}, not a normal float")
+    return norm
 
 
 # ---------------------------------------------------------------------------

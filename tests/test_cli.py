@@ -214,6 +214,20 @@ class TestVerifyCommands:
         assert code == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize(
+        "width, want", [("1e200", 0), ("1e215", 3), ("1e217", 3), ("1e-300", 3)]
+    )
+    def test_verify_parabolic_extreme_width(self, width, want, capsys):
+        # for d = 3, r = 1 the closed-form Gaussian norm is subnormal from
+        # width ~9e205, 0.0 from ~2e216 and overflows at 1e-300: an accuracy
+        # failure, not a violation
+        code, out, err = run(["verify", "parabolic", "--d", "3", "--widths", width], capsys)
+        assert code == want
+        if want == 0:
+            assert "PASS" in out
+        else:
+            assert "FAIL" not in out and len(err.strip().splitlines()) == 1
+
     def test_verify_gns_sixteen_dilations(self, tmp_path, capsys):
         # dilations 2^-16 .. 2^16 on a fractional certificate: the stub and
         # far-field coefficients once overflowed from 2^7 on
@@ -305,15 +319,21 @@ def agmon_cert_path(tmp_path_factory):
         ["parabolic", "--d", "1", "--s", "nan", "--r", "2", "--p", "2"],
         ["parabolic", "--d", "1", "--s", "0", "--r", "2", "--p", "2", "--t", "inf"],
         ["parabolic", "--d", "1", "--s", "700", "--r", "2", "--p", "2"],
+        ["bound", *AGMON_FLAGS, "--json-out", "DIR"],
+        ["bound", *AGMON_FLAGS, "--json-out", "DIR/missing/cert.json"],
+        ["verify", "parabolic", "--d", "1", "--grid", "small", "--csv-out", "DIR/missing/x.csv"],
     ],
     ids=[
         "p-1-over-0", "p-minus-inf", "parabolic-widths-inf", "parabolic-widths-nan",
         "gns-widths-inf", "gns-dilations-1100", "gns-dilations-512", "gns-dilations-1023",
         "parabolic-s-nan", "parabolic-t-inf", "parabolic-overflow",
+        "bound-json-out-directory", "bound-json-out-missing-dir", "parabolic-csv-out-missing-dir",
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, agmon_cert_path, capsys):
-    argv = [agmon_cert_path if arg == "CERT" else arg for arg in argv]
+    # unwritable output paths are bad input too, though the work is done
+    tmp = os.path.dirname(agmon_cert_path)
+    argv = [agmon_cert_path if arg == "CERT" else arg.replace("DIR", tmp) for arg in argv]
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""

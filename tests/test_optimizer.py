@@ -2,16 +2,14 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from functools import partial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnsbound.errors import EmptyFeasibleError, InadmissibleError, InfeasibleError
 from gnsbound.exponents import GnsProblem, LebesgueExponent, theta, validate
 from gnsbound.feasible import (
-    SigmaPoint,
     decode_candidate,
     in_sigma,
     sample_sigma,
@@ -20,7 +18,6 @@ from gnsbound.feasible import (
 from gnsbound.optimizer import (
     CORNER_THETA_MIN,
     PENALTY,
-    OptimizerConfig,
     _corner_is_optimal,
     _corner_search,
     _kink_sigmas,
@@ -29,7 +26,6 @@ from gnsbound.optimizer import (
     _parts_at,
     _penalized_at,
     _separable_search,
-    _widened_search,
     certificate_from_dict,
     certificate_json,
     certificate_to_dict,
@@ -41,6 +37,18 @@ from gnsbound.optimizer import (
 
 TWO = LebesgueExponent(0.5)
 INF = LebesgueExponent(0.0)
+
+# The admissible problems with d in {1, 2, 3}, orders in {0, 1/2, 1, 3/2, 2}
+# and exponents in {1, 2, 4, inf}: drawn from directly rather than filtered,
+# since about three in four of these tuples are inadmissible.
+SMALL_ADMISSIBLE = [
+    problem
+    for d in (1, 2, 3)
+    for orders in itertools.product([0.0, 0.5, 1.0, 1.5, 2.0], repeat=3)
+    for exps in itertools.product(["1", "2", "4", "inf"], repeat=3)
+    for problem in [GnsProblem(d, *orders, *(LebesgueExponent.parse(e) for e in exps))]
+    if validate(problem).admissible
+]
 
 # (d, s, s1, s2, p, p1, p2) of the seven benchmark certify problems: d = 1..3,
 # both orientations, p finite and infinite.
@@ -190,22 +198,23 @@ class TestPenalizedObjectiveParity:
 
 
 class TestMinimize:
-    def test_reference_values_unchanged(self, agmon_problem, fractional_problem):
-        # certificate values and witnesses from version 0.3.0, all on the
-        # corner route; a change that keeps the bound must reproduce them
-        # to the last bit (problem, (value, beta1, beta2, sigma)).  The d = 3
-        # kink sits at sigma = 1.5 exactly; it was once certified one float
-        # above, where the exact shifted orders are past the jump
+    def test_reference_values_unchanged(self):
+        # the seven benchmark certificates, all on the corner route; a change
+        # that keeps the bound must reproduce them to the last bit: (value,
+        # beta1, beta2, sigma) per CERTIFY_PROBLEMS entry.  The d = 3 kink
+        # sits at sigma = 1.5 exactly; it was once certified one float above,
+        # where the exact shifted orders are past the jump
         corner = (0.9999999999999929, 1.1102230246251565e-16)
         expected = [
-            (agmon_problem, (3.2045178765088833, *corner, 0.5)),
-            (fractional_problem, (2.3588270393349453, *corner, 0.25)),
-            (
-                GnsProblem(3, 1.0, 2.0, 0.0, TWO, TWO, TWO),
-                (30.277590264242157, *corner, 1.5),
-            ),
+            (3.2045178765088833, *corner, 0.5),  # agmon
+            (2.3588270393349453, *corner, 0.25),  # fractional
+            (3.2045178765088833, *corner, 0.5),  # agmon_swapped
+            (3.3435610100621673, *corner, 0.5),  # d2_s0
+            (1.8930574102210858, *corner, 0.5),  # d2_half
+            (30.277590264242157, *corner, 1.5),  # d3_s1
+            (0.9608713661238738, *corner, 1.0),  # d3_sup
         ]
-        for problem, want in expected:
+        for problem, want in zip(CERTIFY_PROBLEMS, expected, strict=True):
             cert = minimize(problem)
             assert cert.route == "corner"
             assert (cert.value, cert.point.beta1, cert.point.beta2, cert.point.sigma) == want
@@ -245,6 +254,29 @@ class TestMinimize:
         assert cert.value < math.exp(corner[0]) * (1.0 - 1e-2)
         assert cert.value < 1.2127 and cert.point.sigma == 0.25
 
+    @pytest.mark.parametrize(
+        "args, value, separable",
+        [
+            # theta = 5/8 and p1 != p2: the separable search finds no point
+            ((2, 1.0, 2.5, 0.5, "3", "3/2", "3"), 4.914514080525702, None),
+            # theta = 1/3 and p1 != p2: the separable search stops at 17.347
+            ((1, 0.0, 1 / 3, 1 / 3, "3", "2", "1"), 1.8513092233593609, 17.34732418603983),
+        ],
+    )
+    def test_corner_wins_outside_the_proven_class(self, args, value, separable):
+        # why the corner search runs even where _corner_is_optimal fails
+        problem = GnsProblem(*args[:4], *(LebesgueExponent.parse(e) for e in args[4:]))
+        oriented, _ = problem.oriented()
+        th = theta(oriented).value
+        assert not _corner_is_optimal(oriented, th)
+        cert = minimize(problem)
+        assert (cert.route, cert.value) == ("corner", value)
+        found = _separable_search(oriented, th, sigma_lower_bound(oriented), 10.0)
+        if separable is None:
+            assert found is None
+        else:
+            assert math.exp(found[0]) == pytest.approx(separable, rel=1e-12)
+
     @pytest.mark.parametrize("index", [0, 2, 5, 6])
     def test_corner_route_evaluation_budget(self, index, monkeypatch):
         # the benchmark problems in the class where the corner is optimal
@@ -281,25 +313,18 @@ class TestMinimize:
         assert cert.route == "corner"
         assert len(calls) <= 30_000
 
-    @given(
-        d=st.sampled_from([1, 2, 3]),
-        orders=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=3, max_size=3),
-        exps=st.lists(st.sampled_from(["1", "2", "4", "inf"]), min_size=3, max_size=3),
-    )
+    @given(problem=st.sampled_from(SMALL_ADMISSIBLE))
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_corner_route_never_loses_to_the_multistart(self, d, orders, exps):
+    def test_corner_route_never_loses_to_the_multistart(self, problem):
         # the corner is kept only where the separable search does not beat it
-        problem = GnsProblem(d, *orders, *(LebesgueExponent.parse(e) for e in exps))
-        assume(validate(problem).admissible)
         try:
             cert = minimize(problem)
         except EmptyFeasibleError:
             return
         if cert.route == "corner":
             oriented, _ = problem.oriented()
-            separable = partial(_separable_search, oriented, theta(oriented).value)
             lb = sigma_lower_bound(oriented)
-            found = _widened_search(partial(separable, lb), lb, 10.0)
+            found = _separable_search(oriented, theta(oriented).value, lb, 10.0)
             assert found is not None
             assert cert.value <= objective(problem, found[1]) * (1.0 + 1e-12)
 
@@ -366,9 +391,7 @@ class TestMinimize:
     def test_certificate_dominated_by_samples(self, fractional_problem):
         cert = minimize(fractional_problem)
         for seed in range(8):
-            for point in sample_sigma(
-                fractional_problem, 16, seed=seed, sigma_window=cert.sigma_window
-            ):
+            for point in sample_sigma(fractional_problem, 16, seed=seed):
                 assert cert.value <= objective(fractional_problem, point) + 1e-9
 
     def test_determinism(self, fractional_problem):
@@ -395,35 +418,6 @@ class TestMinimize:
         cert = minimize(problem)
         assert cert.margins.ok
         assert cert.value <= min(objective(problem, pt) for pt in points) + 1e-12
-
-    def test_tiny_sigma_window_expands_once(self, fractional_problem):
-        # a window below the feasible sigma range triggers the single
-        # allowed expansion at the sampling stage
-        cert = minimize(
-            fractional_problem,
-            OptimizerConfig(sigma_window=0.05),
-        )
-        assert cert.sigma_window == pytest.approx(0.2)
-        assert cert.margins.ok
-
-    def test_widened_search_keeps_the_better_window(self):
-        # searched again at 4x when nothing is found or the best sigma is
-        # within 1% of the upper edge; the wide result replaces the narrow one
-        # only when it scores strictly lower
-        def at(sigma):
-            return SigmaPoint(0.9, 0.1, 0.0, 0.0, 0.0, 0.0, sigma)
-
-        inner, edge, wide = (1.0, at(5.0)), (1.0, at(9.95)), (0.5, at(30.0))
-        cases = [
-            ({10.0: inner}, (*inner, 10.0)),  # not widened: a 40 lookup would fail
-            ({10.0: edge, 40.0: wide}, (*wide, 40.0)),
-            ({10.0: edge, 40.0: (2.0, at(30.0))}, (*edge, 10.0)),
-            ({10.0: edge, 40.0: None}, (*edge, 10.0)),
-            ({10.0: None, 40.0: wide}, (*wide, 40.0)),
-            ({10.0: None, 40.0: None}, None),
-        ]
-        for results, want in cases:
-            assert _widened_search(results.__getitem__, 0.0, 10.0) == want
 
     def test_structurally_empty_propagates(self):
         from gnsbound.errors import StructurallyEmptyError
@@ -454,6 +448,8 @@ class TestSerialization:
         pre_route = {k: v for k, v in doc.items() if k != "route"}
         loaded = certificate_from_dict({**pre_route, "artifact_version": "0.2.0"})
         assert loaded.route == "multistart" and loaded.point == cert.point
+        # the widening search could record a 4x window
+        assert certificate_from_dict({**doc, "sigma_window": 40.0}).sigma_window == 40.0
         with pytest.raises(ValueError):
             certificate_from_dict({**doc, "route": "guess"})
 

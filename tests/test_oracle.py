@@ -44,6 +44,12 @@ class TestGaussianNorms:
         assert gaussian_lp_norm(0.7, 2, ONE) == pytest.approx(math.pi / 0.7)
         assert gaussian_lp_norm(3.0, 3, INF) == 1.0
 
+    @pytest.mark.parametrize("width", [1e215, 1e217, 1e-310])
+    def test_outside_normal_float_range_is_an_accuracy_error(self, width):
+        # subnormal, zero and overflowing closed forms are not norms
+        with pytest.raises(AccuracyError):
+            gaussian_lp_norm(width, 3, ONE)
+
     def test_surface_area(self):
         assert surface_area(1) == pytest.approx(2.0)
         assert surface_area(2) == pytest.approx(2 * math.pi)

@@ -14,6 +14,7 @@ import pytest
 
 from gnsbound.errors import EmptyFeasibleError
 from gnsbound.exponents import GnsProblem, LebesgueExponent
+from gnsbound.feasible import sigma_lower_bound
 from gnsbound.optimizer import minimize
 
 # (d, s, s1, s2, p, p1, p2, value at version 0.3.0)
@@ -151,3 +152,13 @@ def test_witness_orders_are_in_one_regime(certificates):
             rounded = oriented.s + 2.0 * sigma - s_j
             exact = Fraction(oriented.s) + 2 * Fraction(sigma) - Fraction(s_j)
             assert regime(rounded) == regime(exact), (row, s_j)
+
+
+def test_sigma_window_is_not_binding(certificates):
+    # no witness sigma lies in the top 1% of the searched window, so a wider
+    # window would not be expected to find a lower value
+    for row, cert in certificates.items():
+        if cert is None:
+            continue
+        lb = sigma_lower_bound(cert.problem.oriented()[0])
+        assert cert.point.sigma <= lb + 0.99 * cert.sigma_window, row
