@@ -30,7 +30,6 @@ from .errors import (
     EmptyFeasibleError,
     GnsboundError,
     InadmissibleError,
-    InvalidRegimeError,
     OutOfRangeError,
     StructurallyEmptyError,
 )
@@ -169,13 +168,8 @@ def _cmd_parabolic(args: argparse.Namespace) -> int:
         lines = [f"a_par = {a_par(params)!r}"]
         if args.t is not None:
             lines.append(f"bound_at_time = {bound_at_time(params, args.t)!r}")
-    except InvalidRegimeError as exc:
-        print(f"invalid regime: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OverflowError:
-        print("bad input: the constant overflows a float", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OutOfRangeError, ValueError, GnsboundError) as exc:
+    except (ValueError, OverflowError, GnsboundError) as exc:
+        # a constant outside the positive normal floats is a GnsboundError too
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     print("\n".join(lines))

@@ -37,14 +37,11 @@ from .errors import (
     StructurallyEmptyError,
 )
 from .exponents import GnsProblem, theta, validate
+from .parabolic import BOUNDARY_SNAP
 
 # Equality constraints (the q-derivation identities) are checked to this
 # absolute tolerance; the membership margin does not rescale it.
 EQUALITY_TOL = 1e-12
-
-# Closed constraints (pairing direction at nonnegative orders) tolerate this
-# much float fuzz below zero; the smoothing constants snap the same amount.
-CLOSED_TOL = 1e-12
 
 # Buffer keeping sampled betas away from their interval endpoints, so the
 # objective's 1/(theta - beta2) and 1/(beta1 - theta) factors stay bounded.
@@ -77,7 +74,7 @@ class FeasibilityReport:
     ``ok`` requires every open-constraint margin to be positive, every
     equality residual to stay within ``EQUALITY_TOL`` (reported as margins
     named ``*_consistency``), and every closed-constraint margin to be
-    nonnegative up to float fuzz (``CLOSED_TOL``).  The pairing constraints
+    nonnegative up to the kernel's ``BOUNDARY_SNAP``.  The pairing constraints
     at nonnegative shifted orders are closed: equal input and output
     exponents are valid there, and for problems whose three exponents
     coincide the feasible set lies entirely on that boundary.
@@ -186,13 +183,13 @@ def feasibility_margins(
 def margins_ok(margins: Mapping[str, float], closed: frozenset[str], margin: float) -> bool:
     """The membership rule on margins from :func:`feasibility_margins`.
 
-    Closed margins must be nonnegative up to ``CLOSED_TOL``, equality
+    Closed margins must be nonnegative up to ``BOUNDARY_SNAP``, equality
     residuals positive, and every other margin above ``margin``.  Each test
     is written so that a NaN margin fails it.
     """
     for name, value in margins.items():
         if name in closed:
-            if not value >= -CLOSED_TOL:
+            if not value >= -BOUNDARY_SNAP:
                 return False
         elif name in _EQUALITY_MARGINS:
             if not value > 0.0:
@@ -284,14 +281,23 @@ def decode_candidate(
     return SigmaPoint(beta1, beta2, r1, r2, q1, q2, sigma)
 
 
-def require_reachable(oriented: GnsProblem, theta_value: float) -> None:
-    """Raise :class:`StructurallyEmptyError` when no sigma can reach 1/p.
+def search_frame(problem: GnsProblem) -> tuple[GnsProblem, float, float]:
+    """(oriented problem, its theta, its sigma lower bound) of a problem to search.
 
-    Each output reciprocal is capped by its endpoint reciprocal, so with
-    beta1 in (theta, 1) and beta2 in (0, theta) the convexity conditions
-    1/p = beta/r + (1-beta)/q reach at most
-    max(theta/p1 + (1-theta)/p2, min(1/p1, 1/p2)) on either side.
+    Raises :class:`InadmissibleError` for an inadmissible problem, and
+    :class:`StructurallyEmptyError` when no sigma can reach 1/p: each output
+    reciprocal is capped by its endpoint reciprocal, so with beta1 in (theta, 1)
+    and beta2 in (0, theta) the convexity conditions 1/p = beta/r + (1-beta)/q
+    reach at most max(theta/p1 + (1-theta)/p2, min(1/p1, 1/p2)) on either side.
     """
+    report = validate(problem)
+    if not report.admissible:
+        raise InadmissibleError(
+            f"problem is not admissible: margins "
+            f"({report.lower_margin!r}, {report.upper_margin!r})"
+        )
+    oriented = problem.oriented()[0]
+    theta_value = theta(oriented).value
     reachable = max(
         theta_value * oriented.p1.recip + (1.0 - theta_value) * oriented.p2.recip,
         min(oriented.p1.recip, oriented.p2.recip),
@@ -302,6 +308,7 @@ def require_reachable(oriented: GnsProblem, theta_value: float) -> None:
             f"target reciprocal 1/p = {oriented.p.recip!r} (largest reachable "
             f"value is {reachable!r})"
         )
+    return oriented, theta_value, sigma_lower_bound(oriented)
 
 
 def sample_sigma(problem: GnsProblem, n: int, seed: int) -> list[SigmaPoint]:
@@ -311,18 +318,10 @@ def sample_sigma(problem: GnsProblem, n: int, seed: int) -> list[SigmaPoint]:
     log-uniformly in offset from its lower bound within the search's window
     DEFAULT_SIGMA_WINDOW, and the two ratio quantities uniformly inside their
     draw boxes; candidates failing membership at ``DEFAULT_MEMBERSHIP_MARGIN``
-    are rejected.  Raises if no feasible point is found within 100*n attempts.
+    are rejected.  Raises as :func:`search_frame` does, and if no feasible
+    point is found within 100*n attempts.
     """
-    report = validate(problem)
-    if not report.admissible:
-        raise InadmissibleError(
-            f"cannot sample an inadmissible problem: margins "
-            f"({report.lower_margin!r}, {report.upper_margin!r})"
-        )
-    oriented, _ = problem.oriented()
-    theta_value = theta(oriented).value
-    require_reachable(oriented, theta_value)
-    lb = sigma_lower_bound(oriented)
+    oriented, theta_value, lb = search_frame(problem)
     rng = np.random.default_rng(seed)
     points: list[SigmaPoint] = []
     beta1_lo, beta1_hi = theta_value + BETA_BUFFER, 1.0 - BETA_BUFFER

@@ -30,6 +30,13 @@ per beta (:func:`_side_profile`), and a table over beta pairs per sigma
 sigma window (lb, lb + DEFAULT_SIGMA_WINDOW], and score a candidate by the
 rule of :func:`~gnsbound.feasible.in_sigma`; non-members score a large
 penalty.
+
+Scores and certificate values alike add the logs of the smoothing constants
+from the one kernel :func:`~gnsbound.parabolic._log_a_par` and equalize them
+in :func:`_equalized`, so a bound is found wherever its logarithm is finite,
+even where one constant alone overflows a float.  A found point and a loaded
+file both become a certificate through :func:`_certificate`, which re-verifies
+the witness.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import __version__
-from .errors import EmptyFeasibleError, GnsboundError, InadmissibleError, InfeasibleError
-from .exponents import GnsProblem, LebesgueExponent, Theta, theta, validate
+from .errors import EmptyFeasibleError, GnsboundError, InfeasibleError
+from .exponents import GnsProblem, LebesgueExponent, Theta, theta
 from .feasible import (
     DEFAULT_SIGMA_WINDOW,
     FeasibilityReport,
@@ -52,11 +59,10 @@ from .feasible import (
     feasibility_margins,
     in_sigma,
     margins_ok,
-    require_reachable,
+    search_frame,
     section_edges,
-    sigma_lower_bound,
 )
-from .parabolic import _log_a_par
+from .parabolic import _log_a_par, _normal_exp
 
 # Not called here: the search evaluates _log_a_par on plain reciprocals.  The
 # name stays importable from this module, where perfbench's tracer rebinds it.
@@ -119,13 +125,6 @@ class BoundCertificate:
     route: str
 
 
-def _log_a(p_recip: float, r_recip: float, s: float, d: int) -> float:
-    """log of a_par, through exp and back: log(exp(x)) can differ from x in
-    its last bit, and certificate values are kept bit-identical to the
-    ``math.log(a_par(...))`` form."""
-    return math.log(math.exp(_log_a_par(p_recip, r_recip, s, d)))
-
-
 def _parts_at(
     oriented: GnsProblem, theta_value: float, point: SigmaPoint
 ) -> tuple[float, float, float, float]:
@@ -135,43 +134,61 @@ def _parts_at(
     order2 = oriented.s + 2.0 * sigma - oriented.s2
     d = oriented.d
     p1, p2 = oriented.p1.recip, oriented.p2.recip
-    log_small = beta2 * _log_a(q2, p1, order1, d) + (1.0 - beta2) * _log_a(r2, p2, order2, d)
-    log_large = beta1 * _log_a(r1, p1, order1, d) + (1.0 - beta1) * _log_a(q1, p2, order2, d)
+    log_small = beta2 * _log_a_par(q2, p1, order1, d) + (1.0 - beta2) * _log_a_par(
+        r2, p2, order2, d
+    )
+    log_large = beta1 * _log_a_par(r1, p1, order1, d) + (1.0 - beta1) * _log_a_par(
+        q1, p2, order2, d
+    )
     half_dk = 0.5 * d * oriented.chain_gap()
     a = (theta_value - beta2) * half_dk
     b = (beta1 - theta_value) * half_dk
     return log_small, log_large, a, b
 
 
-def _feasible_frame(problem: GnsProblem, point: SigmaPoint) -> tuple[GnsProblem, float]:
-    """(oriented problem, its theta) for a candidate that must be feasible."""
-    report = in_sigma(problem, point)
-    if not report.ok:
-        raise InfeasibleError(
-            f"candidate outside the feasible set; worst margin {report.min_margin!r}"
-        )
-    oriented = problem.oriented()[0]
-    return oriented, theta(oriented).value
+def _equalized(log_front: float, log_small: float, log_large: float, a: float, b: float) -> float:
+    """The equalized log bound from log_front = log(2/Gamma(sigma)) and the
+    parts of :func:`_parts_at`; both routes and the certificate score this."""
+    w = a / (a + b)
+    return log_front + (1.0 - w) * (log_small - math.log(a)) + w * (log_large - math.log(b))
 
 
 def _log_objective_at(oriented: GnsProblem, theta_value: float, point: SigmaPoint) -> float:
-    log_small, log_large, a, b = _parts_at(oriented, theta_value, point)
-    log_p = log_small - math.log(a)
-    log_q = log_large - math.log(b)
-    w = a / (a + b)
-    return math.log(2.0) - math.lgamma(point.sigma) + (1.0 - w) * log_p + w * log_q
+    log_front = math.log(2.0) - math.lgamma(point.sigma)
+    return _equalized(log_front, *_parts_at(oriented, theta_value, point))
+
+
+def _certificate(
+    problem: GnsProblem, point: SigmaPoint, route: str = "", sigma_window: float = 0.0
+) -> BoundCertificate:
+    """The certificate of a candidate: one membership test, then one value.
+
+    Raises :class:`InfeasibleError` unless ``point`` is a member, and
+    :class:`DomainError` when the bound is not a positive normal float.
+    ``route`` and ``sigma_window`` record the search; :func:`objective`,
+    :func:`equalizing_t0` and :func:`two_term_bound` leave them unset.
+    """
+    margins = in_sigma(problem, point)
+    if not margins.ok:
+        raise InfeasibleError(
+            f"candidate outside the feasible set; worst margin {margins.min_margin!r}"
+        )
+    oriented, swapped = problem.oriented()
+    value = _normal_exp(_log_objective_at(oriented, theta(oriented).value, point), "the bound")
+    return BoundCertificate(
+        problem, point, value, theta(problem), margins, swapped, sigma_window, route
+    )
+
+
+def _checked_parts(problem: GnsProblem, point: SigmaPoint) -> tuple[float, float, float, float]:
+    """:func:`_parts_at` at a candidate :func:`_certificate` accepts."""
+    oriented = _certificate(problem, point).problem.oriented()[0]
+    return _parts_at(oriented, theta(oriented).value, point)
 
 
 def objective(problem: GnsProblem, point: SigmaPoint) -> float:
     """Bound value at a feasible candidate (equalized two-term form)."""
-    return math.exp(_log_objective_at(*_feasible_frame(problem, point), point))
-
-
-def _oriented_norms(
-    problem: GnsProblem, norm1: float, norm2: float
-) -> tuple[float, float]:
-    _, swapped = problem.oriented()
-    return (norm2, norm1) if swapped else (norm1, norm2)
+    return _certificate(problem, point).value
 
 
 def equalizing_t0(
@@ -184,8 +201,8 @@ def equalizing_t0(
     """
     if norm1 <= 0.0 or norm2 <= 0.0:
         raise InfeasibleError("norms must be positive")
-    log_small, log_large, a, b = _parts_at(*_feasible_frame(problem, point), point)
-    n1, n2 = _oriented_norms(problem, norm1, norm2)
+    log_small, log_large, a, b = _checked_parts(problem, point)
+    n1, n2 = (norm2, norm1) if problem.oriented()[1] else (norm1, norm2)
     log_t0 = (
         (point.beta1 - point.beta2) * (math.log(n1) - math.log(n2))
         + math.log(a)
@@ -206,8 +223,8 @@ def two_term_bound(
     """The split bound at an arbitrary pivot t0 > 0 (valid for every t0)."""
     if t0 <= 0.0:
         raise InfeasibleError("pivot time must be positive")
-    log_small, log_large, a, b = _parts_at(*_feasible_frame(problem, point), point)
-    n1, n2 = _oriented_norms(problem, norm1, norm2)
+    log_small, log_large, a, b = _checked_parts(problem, point)
+    n1, n2 = (norm2, norm1) if problem.oriented()[1] else (norm1, norm2)
     log_n1, log_n2 = math.log(n1), math.log(n2)
     term_small = math.exp(
         log_small
@@ -419,8 +436,7 @@ def _separable_at(
         a, b = (theta_value - beta2) * half_dk, (beta1 - theta_value) * half_dk
         if not (a > 0.0 and b > 0.0 and log_large < math.inf and log_small < math.inf):
             return math.inf
-        w = a / (a + b)
-        return log_front + (1.0 - w) * (log_small - math.log(a)) + w * (log_large - math.log(b))
+        return _equalized(log_front, log_small, log_large, a, b)
 
     ranges = ((theta_value, 1.0), (0.0, theta_value))
     tables = []
@@ -480,18 +496,10 @@ def minimize(problem: GnsProblem) -> BoundCertificate:
 
     Each route searches sigma in (lb, lb + DEFAULT_SIGMA_WINDOW] once.  A
     provably empty feasible set raises :class:`StructurallyEmptyError`; when
-    neither search finds a point, :class:`EmptyFeasibleError` is raised.
+    neither search finds a point, :class:`EmptyFeasibleError` is raised.  The
+    point found is re-verified as any loaded certificate is.
     """
-    report = validate(problem)
-    if not report.admissible:
-        raise InadmissibleError(
-            f"problem is not admissible: margins "
-            f"({report.lower_margin!r}, {report.upper_margin!r})"
-        )
-    oriented, swapped = problem.oriented()
-    theta_oriented = theta(oriented).value
-    require_reachable(oriented, theta_oriented)
-    lb = sigma_lower_bound(oriented)
+    oriented, theta_oriented, lb = search_frame(problem)
     search = (oriented, theta_oriented, lb, DEFAULT_SIGMA_WINDOW)
 
     route, best = "corner", _corner_search(*search)
@@ -505,21 +513,7 @@ def minimize(problem: GnsProblem) -> BoundCertificate:
             "no feasible point found by the corner search or the separable search "
             f"(sigma window {DEFAULT_SIGMA_WINDOW!r})"
         )
-    best_point = best[1]
-
-    value = objective(problem, best_point)
-    margins = in_sigma(problem, best_point)
-    assert margins.ok
-    return BoundCertificate(
-        problem=problem,
-        point=best_point,
-        value=value,
-        theta=theta(problem),
-        margins=margins,
-        relabeled=swapped,
-        sigma_window=DEFAULT_SIGMA_WINDOW,
-        route=route,
-    )
+    return _certificate(problem, best[1], route, DEFAULT_SIGMA_WINDOW)
 
 
 # ---------------------------------------------------------------------------
@@ -587,22 +581,13 @@ def certificate_from_dict(doc: Mapping) -> BoundCertificate:
     route = doc.get("route", "multistart")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    value = objective(problem, point)
+    cert = _certificate(problem, point, route, float(doc["sigma_window"]))
     stored = float(doc["value"])
-    if not abs(stored - value) <= CERT_VALUE_RTOL * value:
+    if not abs(stored - cert.value) <= CERT_VALUE_RTOL * cert.value:
         raise InfeasibleError(
-            f"stored value {stored!r} is not the bound {value!r} at the witness"
+            f"stored value {stored!r} is not the bound {cert.value!r} at the witness"
         )
-    return BoundCertificate(
-        problem=problem,
-        point=point,
-        value=value,
-        theta=theta(problem),
-        margins=in_sigma(problem, point),
-        relabeled=problem.oriented()[1],
-        sigma_window=float(doc["sigma_window"]),
-        route=route,
-    )
+    return cert
 
 
 def certificate_json(cert: BoundCertificate) -> str:

@@ -31,11 +31,12 @@ inf**(1/inf) = 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InvalidRegimeError, TripleMismatchError
 from .exponents import LebesgueExponent, young_partner_recip
-from .specialfn import min_product_power
+from .specialfn import log_heat_deriv_l1_bound, min_product_power
 
 YOUNG_RELATION_TOL = 1e-12
 
@@ -87,6 +88,8 @@ def heat_kernel_norm(t: float, q: LebesgueExponent, d: int) -> float:
     return math.exp(log_norm)
 
 
+# An input reciprocal this far below the output one is evaluated on the
+# diagonal r = p; the feasible set closes its pairing margins by the same amount.
 BOUNDARY_SNAP = 1e-12
 
 
@@ -103,7 +106,7 @@ def _log_kernel_factor(p_recip: float, r_recip: float, gap: float, d: int) -> fl
 def _even_order_log(p_recip: float, r_recip: float, s: float, gap: float, d: int) -> float:
     """log a_par for s in 2*N0 (regimes (a) and (b), which coincide at D = 0)."""
     log_val = _log_kernel_factor(p_recip, r_recip, gap, d)
-    log_val += math.lgamma(0.5 * (d + s)) - math.lgamma(0.5 * d) + 0.5 * s * math.log(2.0)
+    log_val += log_heat_deriv_l1_bound(0.5 * s, d)
     log_val += math.log(min_product_power(0.5 * s, gap))
     return log_val
 
@@ -179,17 +182,30 @@ class ParabolicParams:
         return 0.5 * self.d * (self.r.recip - self.p.recip)
 
 
+def _normal_exp(log_value: float, name: str) -> float:
+    """exp(log_value); :class:`DomainError` unless a positive normal float."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise DomainError(f"{name} = exp({log_value!r}) is not a positive normal float")
+    return value
+
+
 def a_par(params: ParabolicParams) -> float:
     """Time-free smoothing constant across the four regimes.
 
     At s = 0 it reduces to the heat-kernel norm constant of the convolution
-    bound; every bound in the package is built from this form.
+    bound.  Raises :class:`DomainError` when the constant over- or underflows
+    a normal float; the search reads ``log_value`` and never does.
     """
-    return math.exp(params.log_value)
+    return _normal_exp(params.log_value, "a_par")
 
 
 def bound_at_time(params: ParabolicParams, t: float) -> float:
-    """Full smoothing bound a_par * t**(-s/2 - D) at a given positive time."""
+    """Full smoothing bound a_par * t**(-s/2 - D) at a positive time, checked as a_par is."""
     if not (t > 0.0):
         raise DomainError(f"time must be positive, got {t!r}")
-    return math.exp(params.log_value - (0.5 * params.s + params.gap) * math.log(t))
+    log_value = params.log_value - (0.5 * params.s + params.gap) * math.log(t)
+    return _normal_exp(log_value, "bound_at_time")

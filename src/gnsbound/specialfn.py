@@ -128,6 +128,12 @@ def bell_via_generating_function(ell: int, sigma: float) -> float:
     return math.factorial(ell) * coeffs[ell]
 
 
+def log_heat_deriv_l1_bound(n: float, d: int) -> float:
+    """log of :func:`heat_deriv_l1_bound`, unchecked: a_par's factor at s = 2n."""
+    half_d = 0.5 * d
+    return math.lgamma(half_d + n) - math.lgamma(half_d) + n * math.log(2.0)
+
+
 def heat_deriv_l1_bound(n: int, d: int) -> float:
     """Time-free factor Gamma(d/2 + n) * 2**n / Gamma(d/2).
 
@@ -136,5 +142,4 @@ def heat_deriv_l1_bound(n: int, d: int) -> float:
     """
     if n < 0 or d < 1:
         raise DomainError(f"need n >= 0 and d >= 1, got ({n!r}, {d!r})")
-    half_d = 0.5 * d
-    return math.exp(math.lgamma(half_d + n) - math.lgamma(half_d) + n * math.log(2.0))
+    return math.exp(log_heat_deriv_l1_bound(n, d))

@@ -319,6 +319,9 @@ def agmon_cert_path(tmp_path_factory):
         ["parabolic", "--d", "1", "--s", "nan", "--r", "2", "--p", "2"],
         ["parabolic", "--d", "1", "--s", "0", "--r", "2", "--p", "2", "--t", "inf"],
         ["parabolic", "--d", "1", "--s", "700", "--r", "2", "--p", "2"],
+        ["parabolic", "--d", "3", "--s", "0", "--r", "1", "--p", "inf", "--t", "1e300"],
+        ["parabolic", "--d", "100000", "--s", "0", "--r", "1", "--p", "2"],
+        ["verify", "parabolic", "--d", "7"],
         ["bound", *AGMON_FLAGS, "--json-out", "DIR"],
         ["bound", *AGMON_FLAGS, "--json-out", "DIR/missing/cert.json"],
         ["verify", "parabolic", "--d", "1", "--grid", "small", "--csv-out", "DIR/missing/x.csv"],
@@ -327,6 +330,7 @@ def agmon_cert_path(tmp_path_factory):
         "p-1-over-0", "p-minus-inf", "parabolic-widths-inf", "parabolic-widths-nan",
         "gns-widths-inf", "gns-dilations-1100", "gns-dilations-512", "gns-dilations-1023",
         "parabolic-s-nan", "parabolic-t-inf", "parabolic-overflow",
+        "parabolic-bound-underflow", "parabolic-a-par-underflow", "verify-parabolic-d-7",
         "bound-json-out-directory", "bound-json-out-missing-dir", "parabolic-csv-out-missing-dir",
     ],
 )

@@ -126,6 +126,20 @@ class TestInSigma:
         report = in_sigma(agmon_problem, point._replace(**{field: math.nan}))
         assert not report.ok
 
+    def test_inadmissible_problem_fails_with_its_margins(self, agmon_problem):
+        # the target at an endpoint: no point is a member, and the report
+        # carries the admissibility margins in place of the membership ones
+        problem = GnsProblem(1, 1.0, 1.0, 0.0, TWO, TWO, TWO)
+        point = sample_sigma(agmon_problem, 1, seed=3)[0]
+        report = in_sigma(problem, point)
+        assert not report.ok
+        margins = validate(problem.oriented()[0])
+        assert report.margins == {
+            "admissible_lower": margins.lower_margin,
+            "admissible_upper": margins.upper_margin,
+        }
+        assert report.min_margin == 0.0
+
     def test_time_exponent_identity(self, agmon_problem, fractional_problem):
         # the exponent of the pivot-time integrand collapses to
         # -1 + (theta - beta2)*(d/2)*K on one side and the beta1 analogue on

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnsbound.errors import EmptyFeasibleError, InadmissibleError, InfeasibleError
+from gnsbound.errors import DomainError, EmptyFeasibleError, InadmissibleError, InfeasibleError
 from gnsbound.exponents import GnsProblem, LebesgueExponent, theta, validate
 from gnsbound.feasible import (
     decode_candidate,
     in_sigma,
+    margins_ok,
     sample_sigma,
     sigma_lower_bound,
 )
@@ -145,15 +146,15 @@ class TestTwoTermCrossCheck:
 
 
 def _log_objective_via_a_par(oriented, th, point):
-    """The objective from a_par(ParabolicParams(...)), one dataclass per constant."""
-    from gnsbound.parabolic import ParabolicParams, a_par
+    """The objective from ParabolicParams(...).log_value, one dataclass per constant."""
+    from gnsbound.parabolic import ParabolicParams
 
     order1 = oriented.s + 2.0 * point.sigma - oriented.s1
     order2 = oriented.s + 2.0 * point.sigma - oriented.s2
     d = oriented.d
 
     def log_a(out_recip, inp, order):
-        return math.log(a_par(ParabolicParams(LebesgueExponent(out_recip), inp, order, d)))
+        return ParabolicParams(LebesgueExponent(out_recip), inp, order, d).log_value
 
     log_small = point.beta2 * log_a(point.q2_recip, oriented.p1, order1) + (
         1.0 - point.beta2
@@ -218,6 +219,16 @@ class TestMinimize:
             cert = minimize(problem)
             assert cert.route == "corner"
             assert (cert.value, cert.point.beta1, cert.point.beta2, cert.point.sigma) == want
+
+    def test_high_orders_certify(self):
+        # single smoothing constants leave float range long before the bound
+        # does; both routes and the certificate add their logs, so these certify
+        cert = minimize(GnsProblem(1, 0.0, 400.0, 0.0, INF, TWO, TWO))
+        assert cert.margins.ok and 1e61 < cert.value < 1e62
+        assert minimize(GnsProblem(2, 0.0, 300.0, 0.0, INF, TWO, TWO)).value < 3.5e47
+        # a bound past float range is reported as such, not as an exhausted search
+        with pytest.raises(DomainError, match="not a positive normal float"):
+            minimize(GnsProblem(1, 0.0, 5000.0, 0.0, INF, TWO, TWO))
 
     def test_corner_infeasible_problem_keeps_the_multistart(self):
         # p2 = inf > p: r2 -> p cannot pair with p2 at order >= 0, so no
@@ -466,6 +477,22 @@ class TestSerialization:
         # the stored theta, orientation and margins are recomputed, not read
         edited = {**doc, "theta": 0.2, "relabeled": False, "margins_ok": False}
         assert certificate_from_dict(edited) == certificate_from_dict(doc)
+
+    def test_equality_residual_is_checked_on_load(self):
+        # a separable-route witness at an interior beta2, with 1/q2 moved off
+        # 1/p = (1-beta2)/r2 + beta2/q2: only the q2 residual fails
+        exps = (LebesgueExponent.parse(e) for e in ("3/2", "1", "2"))
+        problem = GnsProblem(1, 1.0, 1.0, 2.0, *exps)
+        cert = minimize(problem)
+        assert cert.route == "separable" and 0.1 < cert.point.beta2 < cert.theta.value - 0.1
+        moved = cert.point._replace(q2_recip=cert.point.q2_recip - 1e-9)
+        report = in_sigma(problem, moved)
+        assert report.margins["q2_consistency"] < 0.0
+        others = {k: v for k, v in report.margins.items() if k != "q2_consistency"}
+        assert margins_ok(others, report.closed, 0.0)
+        doc = {**certificate_to_dict(cert), "q2_recip": repr(moved.q2_recip)}
+        with pytest.raises(InfeasibleError, match="outside the feasible set"):
+            certificate_from_dict(doc)
 
     def test_flat_keys_and_decimal_strings(self, agmon_problem):
         cert = minimize(agmon_problem)

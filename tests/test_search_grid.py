@@ -7,6 +7,7 @@ Each row pins the value the 0.3.0 default multistart (32 x 32, seed 0)
 certified, or None where it exhausted its search.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import pytest
 from gnsbound.errors import EmptyFeasibleError
 from gnsbound.exponents import GnsProblem, LebesgueExponent
 from gnsbound.feasible import sigma_lower_bound
-from gnsbound.optimizer import minimize
+from gnsbound.optimizer import certificate_json, minimize
 
 # (d, s, s1, s2, p, p1, p2, value at version 0.3.0)
 GRID = [
@@ -102,6 +103,9 @@ GRID = [
 ]
 # The multistart stopped at a 1e-9 spread in log value.
 PINNED_RTOL = 1e-8
+# sha256 of the grid's certificate JSON in GRID order, "exhausted\n" for none:
+# a change that claims byte-identical certificates must keep it.
+GRID_SHA256 = "5b96bfd679c75abb79736a60a4e0856c619fd98069330289758a2402188c05cf"
 
 
 def _problem(row):
@@ -162,3 +166,11 @@ def test_sigma_window_is_not_binding(certificates):
             continue
         lb = sigma_lower_bound(cert.problem.oriented()[0])
         assert cert.point.sigma <= lb + 0.99 * cert.sigma_window, row
+
+
+def test_certificate_bytes_are_pinned(certificates):
+    digest = hashlib.sha256()
+    for row in GRID:
+        cert = certificates[row]
+        digest.update((certificate_json(cert) if cert is not None else "exhausted\n").encode())
+    assert digest.hexdigest() == GRID_SHA256
