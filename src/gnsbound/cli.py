@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 
 from . import __version__
 from .errors import (
@@ -43,6 +44,21 @@ EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_ACCURACY = 3
 EXIT_SEARCH = 4
+
+
+def _order(text: str) -> float:
+    """A derivative order: ``a/b`` is rounded once from the exact fraction.
+
+    Anything else is ``float(text)``, so decimal inputs parse as they always have.
+    """
+    if "/" not in text:
+        return float(text)
+    try:
+        return float(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"order {text!r} has a zero denominator") from None
+    except OverflowError:
+        raise ValueError(f"order {text!r} is outside the float range") from None
 
 
 def _parse_widths(text: str) -> list[float]:
@@ -75,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bound = sub.add_parser("bound", help="minimize the constant; emit a certificate")
     bound.add_argument("--d", type=int, required=True)
-    bound.add_argument("--s", type=float, required=True)
-    bound.add_argument("--s1", type=float, required=True)
-    bound.add_argument("--s2", type=float, required=True)
+    bound.add_argument("--s", type=str, required=True)
+    bound.add_argument("--s1", type=str, required=True)
+    bound.add_argument("--s2", type=str, required=True)
     bound.add_argument("--p", type=str, required=True)
     bound.add_argument("--p1", type=str, required=True)
     bound.add_argument("--p2", type=str, required=True)
@@ -88,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     para = sub.add_parser("parabolic", help="evaluate the smoothing constant")
     para.add_argument("--d", type=int, required=True)
-    para.add_argument("--s", type=float, required=True)
+    para.add_argument("--s", type=str, required=True)
     para.add_argument("--r", type=str, required=True)
     para.add_argument("--p", type=str, required=True)
     para.add_argument("--t", type=float, default=None)
@@ -122,9 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _problem_from_args(args: argparse.Namespace) -> GnsProblem:
     return GnsProblem(
         d=args.d,
-        s=args.s,
-        s1=args.s1,
-        s2=args.s2,
+        s=_order(args.s),
+        s1=_order(args.s1),
+        s2=_order(args.s2),
         p=LebesgueExponent.parse(args.p),
         p1=LebesgueExponent.parse(args.p1),
         p2=LebesgueExponent.parse(args.p2),
@@ -155,14 +171,15 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_parabolic(args: argparse.Namespace) -> int:
     try:
-        if not math.isfinite(args.s):
-            raise ValueError(f"--s must be finite, got {args.s!r}")
+        s = _order(args.s)
+        if not math.isfinite(s):
+            raise ValueError(f"--s must be finite, got {s!r}")
         if args.t is not None and not (0.0 < args.t < math.inf):
             raise ValueError(f"--t must be positive and finite, got {args.t!r}")
         params = ParabolicParams(
             p=LebesgueExponent.parse(args.p),
             r=LebesgueExponent.parse(args.r),
-            s=args.s,
+            s=s,
             d=args.d,
         )
         lines = [f"a_par = {a_par(params)!r}"]

@@ -160,6 +160,17 @@ class ValidationReport:
     lower_margin: float
     upper_margin: float
 
+    def error(self) -> InadmissibleError:
+        """The error for an inadmissible problem: its cause, then its margins."""
+        if self.lower_margin > 0.0 and self.upper_margin > 0.0:
+            cause = ("both margins are positive, but theta rounds to 0 or 1 "
+                     "in the given or the swapped labeling")
+        else:
+            cause = "target position does not lie strictly between the endpoint positions"
+        return InadmissibleError(
+            f"{cause}: margins ({self.lower_margin!r}, {self.upper_margin!r})"
+        )
+
 
 def validate(problem: GnsProblem) -> ValidationReport:
     """Check strict betweenness of X; report margins instead of raising.
@@ -190,9 +201,6 @@ def theta(problem: GnsProblem) -> Theta:
     """Solve X = theta*X1 + (1-theta)*X2 for theta strictly in (0, 1)."""
     report = validate(problem)
     if not report.admissible:
-        raise InadmissibleError(
-            "target position does not lie strictly between the endpoint positions: "
-            f"margins ({report.lower_margin!r}, {report.upper_margin!r})"
-        )
+        raise report.error()
     # validate has checked that this quotient lies strictly in (0, 1)
     return Theta((problem.position() - problem.position2()) / problem.chain_gap())

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     EmptyFeasibleError,
-    InadmissibleError,
     OutOfRangeError,
     StructurallyEmptyError,
 )
@@ -292,10 +291,7 @@ def search_frame(problem: GnsProblem) -> tuple[GnsProblem, float, float]:
     """
     report = validate(problem)
     if not report.admissible:
-        raise InadmissibleError(
-            f"problem is not admissible: margins "
-            f"({report.lower_margin!r}, {report.upper_margin!r})"
-        )
+        raise report.error()
     oriented = problem.oriented()[0]
     theta_value = theta(oriented).value
     reachable = max(

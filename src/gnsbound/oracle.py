@@ -59,7 +59,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, j0
 
 from .errors import AccuracyError, DomainError
 from .exponents import GnsProblem, LebesgueExponent, theta
@@ -78,8 +77,15 @@ _STUB_TERMS = 12
 
 _KERNEL_PREFACTOR = {1: 1.0 / math.pi, 2: 0.5 / math.pi, 3: 0.5 / math.pi**2}
 
+
+def _bessel_j0(z: np.ndarray) -> np.ndarray:
+    from scipy.special import j0  # lazily: see young_extremizer_check
+
+    return j0(z)
+
+
 # The reduced kernels cos, J0 and sinc, and their Taylor coefficients in z^2.
-_KERNELS = {1: np.cos, 2: j0, 3: lambda z: np.sinc(z / math.pi)}
+_KERNELS = {1: np.cos, 2: _bessel_j0, 3: lambda z: np.sinc(z / math.pi)}
 _KERNEL_SERIES = {
     1: lambda j: (-1.0) ** j / math.factorial(2 * j),
     2: lambda j: (-1.0) ** j / (4.0**j * math.factorial(j) ** 2),
@@ -235,6 +241,8 @@ def _tail_coefficients(s: float, d: int) -> np.ndarray | None:
     """
     if s >= 0.0 and 0.5 * s == math.floor(0.5 * s):
         return None
+    from scipy.special import gammaln, gammasgn  # lazily: see young_extremizer_check
+
     k = np.arange(_TAIL_KMAX)
     pole_arg = -0.5 * s - k
     log_mag = (
@@ -645,9 +653,11 @@ def young_extremizer_check(
     at 1 and the other scanned over a log grid, refined by bounded scalar
     minimization of the negated ratio.  Returns (best_ratio, constant).
     """
-    # scipy.optimize and scipy.integrate (which imports scipy.optimize) are
-    # imported where they are used, not at module level: together they add
-    # about 0.35 s to every command-line start, and no command uses them.
+    # scipy is imported where it is used, never at module level.
+    # scipy.optimize and scipy.integrate (which imports scipy.optimize) add
+    # about 0.35 s to a start and no command uses them; scipy.special adds
+    # about 0.3 s, and only the oracle's J0 kernel (d = 2) and far-field
+    # coefficients need it, so bound and parabolic never load scipy.
     from scipy.optimize import minimize_scalar
 
     constant = young_constant(p, q, r, d)

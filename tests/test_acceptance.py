@@ -5,6 +5,7 @@ criterion.  The criteria are property-based plus hand-derivable values; no
 external reference data is required.
 """
 
+import hashlib
 import json
 import math
 
@@ -142,10 +143,18 @@ def test_criterion_4_young_optimality():
     _report(4, "Gaussian pairs attain the convolution constants within [1-1e-3, 1+1e-6]")
 
 
-def test_criterion_5_smoothing_sweep():
+# sha256 of the 774-row sweep CSV; the oracle's outputs are pinned byte for byte.
+SWEEP_SHA256 = "f43a1273c107ef489d358671106d8067042f9c02851fb9e2b0d36318cca7472f"
+
+
+def test_criterion_5_smoothing_sweep(tmp_path):
     grid = default_parabolic_grid((1, 2, 3))
     report = check_parabolic(grid, widths=(0.5, 1.0, 2.0))
     assert report.ok, f"violations: {report.violations()[:5]}"
+    assert len(report.rows) == 774
+    path = tmp_path / "sweep.csv"
+    report.to_csv(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_SHA256
     _report(
         5,
         f"{len(report.rows)} measured ratios dominated at 1+1e-6 "

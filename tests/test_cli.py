@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -118,6 +120,17 @@ class TestBoundCommand:
         assert out == ""
         assert err.startswith("inadmissible parameters:")
         assert err.endswith("margins (0.75, 1.1102230246251565e-16)\n")
+        # theta = 5e-301: both margins are positive, and 1 - theta rounds to 1
+        code, out, err = run(
+            ["bound", "--d", "1", "--s", "0", "--s1", "1e300", "--s2", "0",
+             "--p", "inf", "--p1", "2", "--p2", "2"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("inadmissible parameters:")
+        assert "theta rounds to 0 or 1" in err
+        assert err.endswith("margins (0.5, 1e+300)\n")
 
     def test_structurally_empty_exit_2(self, capsys):
         code, _, err = run(
@@ -128,7 +141,7 @@ class TestBoundCommand:
         assert code == 2
         assert "structurally empty" in err
 
-    def test_fraction_exponent_parsing(self, capsys):
+    def test_fraction_exponent_parsing(self, tmp_path, capsys):
         code, out, _ = run(
             ["bound", "--d", "1", "--s", "0.5", "--p", "4/1",
              "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2", *FAST, "--seed", "3"],
@@ -136,6 +149,16 @@ class TestBoundCommand:
         )
         assert code == 0
         assert "theta = 0.75" in out
+        # an order a/b is rounded once, to the float a decimal input gives
+        paths = [tmp_path / "fraction.json", tmp_path / "decimal.json"]
+        for s2, path in zip(("1/3", "0.3333333333333333"), paths):
+            code, _, _ = run(
+                ["bound", "--d", "1", "--s", "0", "--p", "inf", "--s1", "1", "--p1", "2",
+                 "--s2", s2, "--p2", "2", "--json-out", str(path)],
+                capsys,
+            )
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestParabolicCommand:
@@ -148,6 +171,14 @@ class TestParabolicCommand:
         code, out, _ = run(["parabolic", "--d", "3", "--s", "2", "--r", "2", "--p", "2"], capsys)
         assert code == 0
         assert float(out.split("=")[1].strip()) == pytest.approx(3.0, rel=1e-12)
+
+    def test_fraction_order(self, capsys):
+        outputs = [
+            run(["parabolic", "--d", "1", "--s", s, "--r", "2", "--p", "4", "--t", "2"], capsys)
+            for s in ("1/2", "0.5")
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
 
     def test_with_time(self, capsys):
         code, out, _ = run(
@@ -310,6 +341,10 @@ def agmon_cert_path(tmp_path_factory):
          "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"],
         ["bound", "--d", "1", "--s", "0", "--p=-inf",
          "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"],
+        ["bound", "--d", "1", "--s", "0", "--p", "inf",
+         "--s1", "1", "--p1", "2", "--s2", "1/0", "--p2", "2"],
+        ["bound", "--d", "1", "--s", "0", "--p", "inf",
+         "--s1", "1" + "0" * 400 + "/1", "--p1", "2", "--s2", "0", "--p2", "2"],
         ["verify", "parabolic", "--grid", "small", "--widths", "inf"],
         ["verify", "parabolic", "--grid", "small", "--widths", "nan"],
         ["verify", "gns", "--cert", "CERT", "--widths", "1,inf"],
@@ -317,6 +352,7 @@ def agmon_cert_path(tmp_path_factory):
         ["verify", "gns", "--cert", "CERT", "--widths", "1", "--dilations", "512"],
         ["verify", "gns", "--cert", "CERT", "--widths", "1", "--dilations", "1023"],
         ["parabolic", "--d", "1", "--s", "nan", "--r", "2", "--p", "2"],
+        ["parabolic", "--d", "1", "--s", "1/0", "--r", "2", "--p", "2"],
         ["parabolic", "--d", "1", "--s", "0", "--r", "2", "--p", "2", "--t", "inf"],
         ["parabolic", "--d", "1", "--s", "700", "--r", "2", "--p", "2"],
         ["parabolic", "--d", "3", "--s", "0", "--r", "1", "--p", "inf", "--t", "1e300"],
@@ -327,9 +363,9 @@ def agmon_cert_path(tmp_path_factory):
         ["verify", "parabolic", "--d", "1", "--grid", "small", "--csv-out", "DIR/missing/x.csv"],
     ],
     ids=[
-        "p-1-over-0", "p-minus-inf", "parabolic-widths-inf", "parabolic-widths-nan",
-        "gns-widths-inf", "gns-dilations-1100", "gns-dilations-512", "gns-dilations-1023",
-        "parabolic-s-nan", "parabolic-t-inf", "parabolic-overflow",
+        "p-1-over-0", "p-minus-inf", "s2-1-over-0", "s1-fraction-overflow", "parabolic-widths-inf",
+        "parabolic-widths-nan", "gns-widths-inf", "gns-dilations-1100", "gns-dilations-512",
+        "gns-dilations-1023", "parabolic-s-nan", "parabolic-s-1-over-0", "parabolic-t-inf", "parabolic-overflow",
         "parabolic-bound-underflow", "parabolic-a-par-underflow", "verify-parabolic-d-7",
         "bound-json-out-directory", "bound-json-out-missing-dir", "parabolic-csv-out-missing-dir",
     ],
@@ -362,11 +398,64 @@ def test_dilations_at_the_edge_of_float_range_pass(agmon_cert_path, capsys):
     assert code == 0 and "PASS" in out
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # the oracle imports quad where it is used, so no command pays for it
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter; return its last stdout line as JSON."""
     import gnsbound
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(gnsbound.__file__)))
-    code = "import sys, gnsbound.cli; sys.exit('scipy.integrate' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the oracle imports scipy where it integrates, so bound never loads it
+    result = _run_fresh(f"""
+        import json, sys
+        import gnsbound.cli
+
+        def scipy_modules():
+            return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+        after_import = scipy_modules()
+        bound = gnsbound.cli.main(["bound", *{AGMON_FLAGS!r}])
+        after_bound = scipy_modules()
+        verify = gnsbound.cli.main(["verify", "parabolic", "--d", "2", "--grid", "small"])
+        print(json.dumps([after_import, bound, after_bound, verify]))
+    """)
+    assert result == [[], 0, [], 0]
+
+
+def _traced_targets():
+    """(module, function) of each entry of TARGETS in perfbench/tracer.py."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracer.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [tuple(ast.literal_eval(e) for e in entry.elts[:2]) for entry in node.value.elts]
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_cli_import_loads_every_traced_function():
+    # perfbench's tracer rebinds these after importing gnsbound.cli and nothing else
+    targets = _traced_targets()
+    assert ("oracle", "fractional_heat_norm") in targets
+    result = _run_fresh(f"""
+        import json, sys
+        import gnsbound.cli
+
+        loaded = "gnsbound.oracle" in sys.modules
+        missing = [
+            f"{{module}}.{{name}}"
+            for module, name in {targets!r}
+            if not callable(getattr(sys.modules.get(f"gnsbound.{{module}}"), name, None))
+        ]
+        print(json.dumps([loaded, missing]))
+    """)
+    assert result == [True, []]
