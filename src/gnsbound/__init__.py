@@ -22,7 +22,6 @@ from .errors import (
     InfeasibleError,
     InvalidRegimeError,
     OutOfRangeError,
-    SizeError,
     StructurallyEmptyError,
     TripleMismatchError,
 )
@@ -38,8 +37,6 @@ from .parabolic import (
     ParabolicParams,
     a_par,
     bound_at_time,
-    heat_kernel_norm,
-    young_constant,
 )
 from .feasible import (
     FeasibilityReport,
@@ -68,8 +65,6 @@ from .oracle import (
     frequency_space_l2_norm,
     gaussian_lp_norm,
     gns_ratio,
-    heat_l1_deriv_check,
-    young_extremizer_check,
 )
 
 __all__ = [
@@ -82,7 +77,6 @@ __all__ = [
     "InfeasibleError",
     "InvalidRegimeError",
     "OutOfRangeError",
-    "SizeError",
     "StructurallyEmptyError",
     "TripleMismatchError",
     "GnsProblem",
@@ -94,8 +88,6 @@ __all__ = [
     "ParabolicParams",
     "a_par",
     "bound_at_time",
-    "heat_kernel_norm",
-    "young_constant",
     "FeasibilityReport",
     "SigmaPoint",
     "in_sigma",
@@ -118,6 +110,4 @@ __all__ = [
     "frequency_space_l2_norm",
     "gaussian_lp_norm",
     "gns_ratio",
-    "heat_l1_deriv_check",
-    "young_extremizer_check",
 ]

@@ -17,10 +17,6 @@ class DomainError(GnsboundError):
     """An argument lies outside the mathematical domain of a function."""
 
 
-class SizeError(GnsboundError):
-    """A combinatorial size guard was exceeded."""
-
-
 class TripleMismatchError(GnsboundError):
     """Exponents fail the convolution relation 1/q + 1/r = 1 + 1/p."""
 

@@ -47,6 +47,12 @@ The rules and the kernel tables built from them depend only on (d, level,
 node set) and are cached once each.  The caches are pure memoization
 (results never depend on cache state or call order) and rely on the
 interpreter's global lock for safe concurrent use.
+
+scipy is imported where it is used, never at module level, because the
+package imports this module and ``bound`` and ``parabolic`` never integrate:
+``scipy.special`` adds about 0.3 s to a start and only the J0 kernel (d = 2)
+and the far-field coefficients need it; ``scipy.integrate`` is used only by
+:func:`frequency_space_l2_norm`.
 """
 
 from __future__ import annotations
@@ -63,8 +69,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .exponents import GnsProblem, LebesgueExponent, theta
 from .optimizer import BoundCertificate
-from .parabolic import ParabolicParams, bound_at_time, young_constant
-from .specialfn import heat_deriv_l1_bound
+from .parabolic import ParabolicParams, bound_at_time
 
 DOMINANCE_RTOL = 1e-6
 
@@ -79,7 +84,7 @@ _KERNEL_PREFACTOR = {1: 1.0 / math.pi, 2: 0.5 / math.pi, 3: 0.5 / math.pi**2}
 
 
 def _bessel_j0(z: np.ndarray) -> np.ndarray:
-    from scipy.special import j0  # lazily: see young_extremizer_check
+    from scipy.special import j0  # lazily: see the module docstring
 
     return j0(z)
 
@@ -241,7 +246,7 @@ def _tail_coefficients(s: float, d: int) -> np.ndarray | None:
     """
     if s >= 0.0 and 0.5 * s == math.floor(0.5 * s):
         return None
-    from scipy.special import gammaln, gammasgn  # lazily: see young_extremizer_check
+    from scipy.special import gammaln, gammasgn  # lazily: see the module docstring
 
     k = np.arange(_TAIL_KMAX)
     pole_arg = -0.5 * s - k
@@ -420,7 +425,7 @@ def frequency_space_l2_norm(f: RadialTestFunction, s: float, t: float) -> float:
     d = f.d
     if 2.0 * s + d <= 0.0:
         raise DomainError(f"need s > -d/2 for the L2 norm, got s={s!r}")
-    from scipy.integrate import quad  # lazily: see young_extremizer_check
+    from scipy.integrate import quad  # lazily: see the module docstring
 
     b = t + 0.25 / f.width
     cf = (math.pi / f.width) ** (0.5 * d)
@@ -554,121 +559,3 @@ def check_gns(
             slack = (certificate.value - ratio) / certificate.value
             report.rows.append((width, lam, float(ratio), certificate.value, float(slack)))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Derivative-of-kernel and convolution-constant checks
-# ---------------------------------------------------------------------------
-
-
-def _laplacian_power_coeffs(n: int, d: int, alpha: float) -> np.ndarray:
-    """Coefficients of q(u) with (-Lap)^n exp(-alpha*u) = q(u)*exp(-alpha*u), u=|x|^2.
-
-    For radial phi(u), Lap phi = 4u*phi'' + 2d*phi'; applying it to
-    q(u)*exp(-alpha*u) gives the recurrence implemented here with plain
-    polynomial arithmetic on ascending coefficient arrays.
-    """
-    q = np.array([1.0])
-    for _ in range(n):
-        dq = np.polynomial.polynomial.polyder(q)
-        d2q = np.polynomial.polynomial.polyder(q, 2)
-        # 4u*q'' - 8*alpha*u*q' + 4*alpha^2*u*q  (terms multiplied by u)
-        shifted = np.zeros(len(q) + 1)
-        shifted[1 : 1 + len(d2q)] += 4.0 * d2q
-        shifted[1 : 1 + len(dq)] += -8.0 * alpha * dq
-        shifted[1 : 1 + len(q)] += 4.0 * alpha * alpha * q
-        rest = np.zeros(len(q) + 1)
-        rest[: len(dq)] += 2.0 * d * dq
-        rest[: len(q)] += -2.0 * d * alpha * q
-        q = -(shifted + rest)
-    return q
-
-
-def heat_l1_deriv_check(n: int, d: int, t: float) -> tuple[float, float]:
-    """Quadrature of the L1 norm of the n-th Laplacian power of the kernel.
-
-    Returns (measured, bound); the kernel derivative is a closed-form radial
-    polynomial times a Gaussian, integrated by adaptive quadrature.
-    """
-    if n < 0 or n > 4 or d not in (1, 2, 3):
-        raise DomainError(f"supported range is n <= 4, d <= 3, got ({n!r}, {d!r})")
-    if t <= 0.0:
-        raise DomainError(f"time must be positive, got {t!r}")
-    from scipy.integrate import quad  # lazily: see young_extremizer_check
-
-    alpha = 0.25 / t
-    coeffs = _laplacian_power_coeffs(n, d, alpha)
-    prefactor = (4.0 * math.pi * t) ** (-0.5 * d)
-
-    def integrand(r: float) -> float:
-        u = r * r
-        poly = 0.0
-        for c in reversed(coeffs):
-            poly = poly * u + c
-        return abs(poly) * math.exp(-alpha * u) * r ** (d - 1)
-
-    radius = math.sqrt(_FREQ_CUTOFF / alpha)
-    integral, _ = quad(integrand, 0.0, radius, limit=400, epsabs=1e-13, epsrel=1e-13)
-    measured = surface_area(d) * prefactor * integral
-    bound = heat_deriv_l1_bound(n, d) * t ** (-n)
-    return measured, bound
-
-
-def convolution_ratio(
-    width_f: float,
-    width_g: float,
-    p: LebesgueExponent,
-    q: LebesgueExponent,
-    r: LebesgueExponent,
-    d: int,
-) -> float:
-    """||f*g||_p / (||f||_q * ||g||_r) for Gaussians, all in closed form.
-
-    The convolution of exp(-a|x|^2) and exp(-b|x|^2) is
-    (pi/(a+b))^(d/2) * exp(-(ab/(a+b))|x|^2).
-    """
-    a, b = width_f, width_g
-    conv_width = a * b / (a + b)
-    conv_amplitude = (math.pi / (a + b)) ** (0.5 * d)
-    return (
-        conv_amplitude
-        * gaussian_lp_norm(conv_width, d, p)
-        / (gaussian_lp_norm(a, d, q) * gaussian_lp_norm(b, d, r))
-    )
-
-
-# Log-width grid scanned before the bounded refinement.
-_YOUNG_GRID = 601
-
-
-def young_extremizer_check(
-    p: LebesgueExponent,
-    q: LebesgueExponent,
-    r: LebesgueExponent,
-    d: int,
-) -> tuple[float, float]:
-    """Best Gaussian-pair convolution ratio versus the sharp constant.
-
-    The ratio is invariant under joint width rescaling, so one width is fixed
-    at 1 and the other scanned over a log grid, refined by bounded scalar
-    minimization of the negated ratio.  Returns (best_ratio, constant).
-    """
-    # scipy is imported where it is used, never at module level.
-    # scipy.optimize and scipy.integrate (which imports scipy.optimize) add
-    # about 0.35 s to a start and no command uses them; scipy.special adds
-    # about 0.3 s, and only the oracle's J0 kernel (d = 2) and far-field
-    # coefficients need it, so bound and parabolic never load scipy.
-    from scipy.optimize import minimize_scalar
-
-    constant = young_constant(p, q, r, d)
-    log_m = np.linspace(-3.0 * math.log(10.0), 3.0 * math.log(10.0), _YOUNG_GRID)
-    ratios = [convolution_ratio(1.0, math.exp(v), p, q, r, d) for v in log_m]
-    idx = int(np.argmax(ratios))
-    lo = log_m[max(idx - 1, 0)]
-    hi = log_m[min(idx + 1, _YOUNG_GRID - 1)]
-    refined = minimize_scalar(
-        lambda v: -convolution_ratio(1.0, math.exp(v), p, q, r, d),
-        bounds=(lo, hi),
-        method="bounded",
-    )
-    return max(-float(refined.fun), ratios[idx]), constant

@@ -51,7 +51,12 @@ def _neg_xlogx(u: float) -> float:
 
 
 def _young_constant(p_recip: float, q_recip: float, r_recip: float, d: int) -> float:
-    """:func:`young_constant` on plain reciprocals."""
+    """Sharp constant in ||f*g||_p <= A * ||f||_q * ||g||_r, on plain reciprocals.
+
+    For 1 < p, q, r < inf this is
+    [ (p')^(1/p') q^(1/q) r^(1/r) / ( p^(1/p) (q')^(1/q') (r')^(1/r') ) ]^(d/2),
+    attained by Gaussian pairs; at any endpoint exponent the constant is 1.
+    """
     if abs(q_recip + r_recip - 1.0 - p_recip) > YOUNG_RELATION_TOL:
         raise TripleMismatchError(
             f"1/q + 1/r = {q_recip + r_recip!r} but 1 + 1/p = {1.0 + p_recip!r}"
@@ -62,30 +67,6 @@ def _young_constant(p_recip: float, q_recip: float, r_recip: float, d: int) -> f
     log_num = _neg_xlogx(1.0 - p_recip) + _neg_xlogx(q_recip) + _neg_xlogx(r_recip)
     log_den = _neg_xlogx(p_recip) + _neg_xlogx(1.0 - q_recip) + _neg_xlogx(1.0 - r_recip)
     return math.exp(0.5 * d * (log_num - log_den))
-
-
-def young_constant(
-    p: LebesgueExponent, q: LebesgueExponent, r: LebesgueExponent, d: int
-) -> float:
-    """Sharp constant in ||f*g||_p <= A * ||f||_q * ||g||_r.
-
-    For 1 < p, q, r < inf this is
-    [ (p')^(1/p') q^(1/q) r^(1/r) / ( p^(1/p) (q')^(1/q') (r')^(1/r') ) ]^(d/2),
-    attained by Gaussian pairs; at any endpoint exponent the constant is 1.
-    """
-    return _young_constant(p.recip, q.recip, r.recip, d)
-
-
-def heat_kernel_norm(t: float, q: LebesgueExponent, d: int) -> float:
-    """Lq norm of the heat kernel at time t: (4*pi*t)**(-d/(2q')) * q**(-d/(2q))."""
-    if not (t > 0.0):
-        raise DomainError(f"time must be positive, got {t!r}")
-    u = q.recip
-    log_norm = -0.5 * d * (1.0 - u) * (LOG_4PI + math.log(t)) + 0.5 * d * u * (
-        math.log(u) if u > 0.0 else 0.0
-    )
-    # q**(-d/2q) contributes +(d/2) u log u; u = 0 contributes 0 by convention.
-    return math.exp(log_norm)
 
 
 # An input reciprocal this far below the output one is evaluated on the

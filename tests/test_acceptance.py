@@ -26,17 +26,18 @@ from gnsbound.oracle import (
     check_gns,
     check_parabolic,
     default_parabolic_grid,
-    heat_l1_deriv_check,
-    young_extremizer_check,
 )
-from gnsbound.parabolic import ParabolicParams, a_par, heat_kernel_norm
-from gnsbound.specialfn import (
+from gnsbound.parabolic import ParabolicParams, a_par
+from gnsbound.specialfn import min_product_power
+from lemmas import (
     bell_complete,
     bell_via_generating_function,
     beta_integral,
     heat_deriv_l1_bound,
-    min_product_power,
+    heat_kernel_norm,
+    heat_l1_deriv_check,
     partition_multiplicity_vectors,
+    young_extremizer_check,
 )
 
 INF = LebesgueExponent(0.0)

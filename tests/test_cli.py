@@ -361,6 +361,12 @@ def agmon_cert_path(tmp_path_factory):
         ["bound", *AGMON_FLAGS, "--json-out", "DIR"],
         ["bound", *AGMON_FLAGS, "--json-out", "DIR/missing/cert.json"],
         ["verify", "parabolic", "--d", "1", "--grid", "small", "--csv-out", "DIR/missing/x.csv"],
+        # the bound exp(1737.9...) overflows: main's generic GnsboundError handler
+        ["bound", "--d", "1", "--s", "0", "--s1", "5000", "--s2", "0",
+         "--p", "inf", "--p1", "2", "--p2", "2"],
+        ["bound", "--d", "0", "--s", "0", "--p", "inf",
+         "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"],
+        ["parabolic", "--d", "0", "--s", "0", "--r", "1", "--p", "2"],
     ],
     ids=[
         "p-1-over-0", "p-minus-inf", "s2-1-over-0", "s1-fraction-overflow", "parabolic-widths-inf",
@@ -368,6 +374,7 @@ def agmon_cert_path(tmp_path_factory):
         "gns-dilations-1023", "parabolic-s-nan", "parabolic-s-1-over-0", "parabolic-t-inf", "parabolic-overflow",
         "parabolic-bound-underflow", "parabolic-a-par-underflow", "verify-parabolic-d-7",
         "bound-json-out-directory", "bound-json-out-missing-dir", "parabolic-csv-out-missing-dir",
+        "bound-value-overflow", "bound-d-0", "parabolic-d-0",
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, agmon_cert_path, capsys):
@@ -459,3 +466,44 @@ def test_cli_import_loads_every_traced_function():
         print(json.dumps([loaded, missing]))
     """)
     assert result == [True, []]
+
+
+def _scipy_imports():
+    """(module, enclosing function, imported name) of each scipy import in the package."""
+    import gnsbound
+
+    package = os.path.dirname(os.path.abspath(gnsbound.__file__))
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                names = [child.module] + [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            found.extend((module, scope, name) for name in names if name.split(".")[0] == "scipy")
+            visit(child, module, scope)
+
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as handle:
+                visit(ast.parse(handle.read()), filename[:-3], None)
+    return found
+
+
+def test_scipy_optimize_and_integrate_stay_out_of_the_package():
+    # the lemma checks that used them live in tests/lemmas.py
+    imports = _scipy_imports()
+    assert ("oracle", "_bessel_j0", "scipy.special") in imports
+    assert [entry for entry in imports if entry[2].split(".")[:2] == ["scipy", "optimize"]] == []
+    integrate = {
+        (module, scope)
+        for module, scope, name in imports
+        if name.split(".")[:2] == ["scipy", "integrate"]
+    }
+    assert integrate == {("oracle", "frequency_space_l2_norm")}

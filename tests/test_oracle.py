@@ -21,16 +21,14 @@ from gnsbound.oracle import (
     _RadialProfile,
     check_gns,
     check_parabolic,
-    convolution_ratio,
     default_parabolic_grid,
     fractional_heat_norm,
     frequency_space_l2_norm,
     gaussian_lp_norm,
     gns_ratio,
-    heat_l1_deriv_check,
     surface_area,
-    young_extremizer_check,
 )
+from lemmas import convolution_ratio, heat_l1_deriv_check, young_extremizer_check
 
 INF = LebesgueExponent(0.0)
 ONE = LebesgueExponent(1.0)

@@ -10,9 +10,8 @@ from gnsbound.parabolic import (
     _log_a_par,
     a_par,
     bound_at_time,
-    heat_kernel_norm,
-    young_constant,
 )
+from lemmas import heat_kernel_norm, young_constant
 
 INF = LebesgueExponent(0.0)
 ONE = LebesgueExponent(1.0)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gnsbound.errors import DomainError, SizeError
-from gnsbound.specialfn import (
+from gnsbound.errors import DomainError
+from gnsbound.specialfn import min_product_power
+from lemmas import (
+    SizeError,
     bell_complete,
     bell_via_generating_function,
     beta_integral,
     heat_deriv_l1_bound,
-    min_product_power,
     partition_multiplicity_vectors,
 )
 
