@@ -11,8 +11,10 @@ exp(-t*|xi|^2).  Applying the multiplier gives a radial frequency profile
 The heat flow is a dilation, so the inverse transform is
 h(r) = cf * b^(-(s+d)/2) * H(r/sqrt(b)), with H the unit profile (b = 1,
 cf = 1) of (d, s), and ||h||_p = cf * b^(d/(2p) - (s+d)/2) * ||H||_p.  Every
-norm is measured on H and dilated once, in closed form, by
-:func:`fractional_heat_norm`.  H is computed by the dimension-reduced kernels
+norm is measured on H by :func:`unit_heat_norm` and dilated once, in closed
+form; :func:`fractional_heat_norm` composes the two.  The parabolic sweep
+measures each (d, s, p) unit norm once per call and dilates every row from
+it.  H is computed by the dimension-reduced kernels
 
     d=1:  H(y) = (1/pi)      * int_0^inf x^s e^(-x^2) cos(x*y)          dx
     d=2:  H(y) = (1/(2pi))   * int_0^inf x^s e^(-x^2) J0(x*y)  x        dx
@@ -238,13 +240,18 @@ class _RadialProfile:
         return y, self._evaluate(kernel, y)
 
 
+def _smooth_multiplier(s: float) -> bool:
+    """True when s/2 is a nonnegative integer: |xi|^s is then smooth at the
+    origin, the far-field expansion vanishes and H decays like a Gaussian."""
+    return s >= 0.0 and 0.5 * s == math.floor(0.5 * s)
+
+
 def _tail_coefficients(s: float, d: int) -> np.ndarray | None:
     """Signed far-field coefficients of H, or None when the expansion vanishes.
 
-    The expansion is identically zero when s/2 is a nonnegative integer (the
-    multiplier is then smooth at the origin and H decays like a Gaussian).
+    The expansion is identically zero when the multiplier is smooth.
     """
-    if s >= 0.0 and 0.5 * s == math.floor(0.5 * s):
+    if _smooth_multiplier(s):
         return None
     from scipy.special import gammaln, gammasgn  # lazily: see the module docstring
 
@@ -366,28 +373,19 @@ def _norm_at_level(d: int, s: float, p: LebesgueExponent, level: str) -> float:
     return h_scale * (surface_area(d) * (main + tail)) ** (1.0 / p_value)
 
 
-def fractional_heat_norm(
-    f: RadialTestFunction,
-    s: float,
-    t: float,
-    p: LebesgueExponent,
-    *,
-    target_rel: float = 1e-6,
+def unit_heat_norm(
+    d: int, s: float, p: LebesgueExponent, *, target_rel: float = 1e-6
 ) -> float:
-    """Lp norm of |grad|^s applied to the heat flow of a Gaussian.
+    """||H||_p of the unit profile of (d, s), checked to ``target_rel``.
 
-    The unit profile's norm is evaluated at two quadrature levels; their
-    relative disagreement is the error estimate and must not exceed
-    ``target_rel``.  The dilation to b = t + 1/(4a) is then applied in closed
-    form, with its power of two carried exactly.
+    The norm is evaluated at two quadrature levels; their relative
+    disagreement is the error estimate and must not exceed ``target_rel``.
     """
-    d = f.d
+    if d not in (1, 2, 3):
+        raise DomainError(f"dimension must be 1, 2 or 3, got {d!r}")
     if not (s > -d):
         raise DomainError(f"need s > -d for integrability, got s={s!r}, d={d}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t!r}")
-    algebraic_tail = not (s >= 0.0 and 0.5 * s == math.floor(0.5 * s))
-    if p.recip > 0.0 and algebraic_tail and p.value * (d + s) <= d:
+    if p.recip > 0.0 and not _smooth_multiplier(s) and p.value * (d + s) <= d:
         raise DomainError(
             f"Lp norm diverges: the profile decays like r^-(d+s) and "
             f"p*(d+s) = {p.value * (d + s)!r} <= d = {d}"
@@ -401,23 +399,52 @@ def fractional_heat_norm(
         raise AccuracyError(
             f"quadrature levels disagree by {err:.3e} > target {target_rel:.1e}"
         )
-    # ||h||_p = (pi/a)^(d/2) * b^e * ||H||_p with e = d/(2p) - (s+d)/2.  With
-    # pi/a = m1 * 2^k1 and b = m2 * 2^k2, e and the exponent x of 2^x are
-    # exact Fractions, and 2^x is split into 2^n and 2^(x - n): the product
-    # leaves float range only where the norm, pi/a or b does.  Through
-    # exp(log(scale)), or with e rounded, it loses about |log(scale)| ulps.
+    return fine
+
+
+def _dilate(unit: float, f: RadialTestFunction, s: float, t: float, p: LebesgueExponent) -> float:
+    """||h||_p from the unit profile's norm ``unit``, in closed form; needs t >= 0.
+
+    ||h||_p = (pi/a)^(d/2) * b^e * ||H||_p with b = t + 1/(4a) and
+    e = d/(2p) - (s+d)/2.  With pi/a = m1 * 2^k1 and b = m2 * 2^k2, e and
+    the exponent x of 2^x are exact Fractions, and 2^x is split into 2^n and
+    2^(x - n): the product leaves float range only where the norm, pi/a or b
+    does.  Through exp(log(scale)), or with e rounded, it loses about
+    |log(scale)| ulps.
+    """
+    d = f.d
     e = (d * Fraction(p.recip) - Fraction(s) - d) / 2
     m1, k1 = math.frexp(math.pi / f.width)
     m2, k2 = math.frexp(t + 0.25 / f.width)
     x = Fraction(d * k1, 2) + e * k2
     n = math.floor(x)
     try:
-        norm = math.ldexp(m1 ** (0.5 * d) * m2 ** float(e) * 2.0 ** float(x - n) * fine, n)
+        norm = math.ldexp(m1 ** (0.5 * d) * m2 ** float(e) * 2.0 ** float(x - n) * unit, n)
     except OverflowError:
         norm = math.inf
     if not math.isfinite(norm):
         raise AccuracyError(f"norm at width {f.width!r}, t = {t!r} is beyond float range")
     return norm
+
+
+def fractional_heat_norm(
+    f: RadialTestFunction,
+    s: float,
+    t: float,
+    p: LebesgueExponent,
+    *,
+    target_rel: float = 1e-6,
+) -> float:
+    """Lp norm of |grad|^s applied to the heat flow of a Gaussian.
+
+    :func:`unit_heat_norm` measures the unit profile, and the dilation to
+    b = t + 1/(4a) is applied in closed form, with its power of two carried
+    exactly.  The time is checked first, so a negative one is a
+    :class:`DomainError` whatever the measurement would raise.
+    """
+    if t < 0.0:
+        raise DomainError(f"time must be nonnegative, got {t!r}")
+    return _dilate(unit_heat_norm(f.d, s, p, target_rel=target_rel), f, s, t, p)
 
 
 def frequency_space_l2_norm(f: RadialTestFunction, s: float, t: float) -> float:
@@ -513,16 +540,24 @@ def default_parabolic_grid(dims: Iterable[int] = (1, 2, 3)) -> list[ParabolicCas
 def check_parabolic(grid: Iterable[ParabolicCase], widths: Sequence[float]) -> SweepReport:
     """Measure ||grad^s e^{t*Lap} f||_p / ||f||_r against the closed-form bound.
 
-    Rows are emitted in grid order, widths innermost.
+    Rows are emitted in grid order, widths innermost.  The unit-profile norm
+    depends on (d, s, p) alone, so each is measured once per call, at the
+    first row that needs it, and every row dilates it in closed form exactly
+    as :func:`fractional_heat_norm` does; ``bound_at_time`` rejects t <= 0
+    before any norm is taken.
     """
     report = SweepReport(
         header=("d", "s", "r", "p", "t", "width", "measured", "bound", "slack")
     )
+    unit_norms: dict[tuple[int, float, float], float] = {}
     for d, s, r, p, t in grid:
         for width in widths:
             bound = bound_at_time(ParabolicParams(p, r, s, d), t)
             f = RadialTestFunction(width, d)
-            measured = fractional_heat_norm(f, s, t, p) / gaussian_lp_norm(width, d, r)
+            key = (d, s, p.recip)
+            if key not in unit_norms:
+                unit_norms[key] = unit_heat_norm(d, s, p)
+            measured = _dilate(unit_norms[key], f, s, t, p) / gaussian_lp_norm(width, d, r)
             slack = (bound - measured) / bound
             report.rows.append((d, s, r, p, t, width, float(measured), bound, float(slack)))
     return report

@@ -94,3 +94,50 @@ def test_fresh_bound_quartiles(bench_pair):
     summary = bench_pair.summarize(doc, BETTER)
     assert summary["fresh_bound_s"]["parent"]["median"] == 0.6
     assert summary["fresh_bound_s"]["change"] == {"q1": 0.3, "median": 0.3, "q3": 0.3}
+
+
+def _traced(exit_code, failed, problems, share):
+    run = _run(exit_code, failed, {"trace.unattributed_frac_max": share})
+    run["problems"] = problems
+    return run
+
+
+GATE = "FAILED command {}: self times leave 1.52e-03 of its wall time unaccounted for"
+
+
+def test_trace_gate_exits_and_largest_unattributed_share(bench_pair):
+    doc = {
+        "pairs": {
+            "sweep/trace1": [
+                {
+                    "first": "parent",
+                    # every failure is the gate's, one of them negative
+                    "parent": _traced(1, 2, [GATE.format(3), GATE.format(9).replace("1.52", "-1.52")],
+                                      1.52e-3),
+                    # a gate failure beside a wrong output
+                    "change": _traced(1, 2, [GATE.format(4), "FAILED sweep d1: exit 3: boom"],
+                                      2.2e-3),
+                },
+                {
+                    "first": "change",
+                    "parent": _traced(0, 0, [], 4e-4),
+                    # more failures than printed lines: the rest cannot be told apart
+                    "change": _traced(1, 2, [GATE.format(5)], 8.5e-3),
+                },
+                {
+                    "first": "parent",
+                    # a crash: no FAILED line, only the stderr tail
+                    "parent": _traced(2, 0, ["Traceback (most recent call last): ..."], 5e-4),
+                    "change": _traced(1, 1, [GATE.format(6),
+                                             "stderr tail ending in a warning"], 6e-4),
+                },
+            ],
+        },
+        "fresh_bound_s": {"parent": [], "change": []},
+    }
+    sweep = bench_pair.summarize(doc, BETTER)["sweep/trace1"]
+    assert sweep["nonzero_exits"] == {"parent": 2, "change": 3}
+    assert sweep["trace_gate_only_exits"] == {"parent": 1, "change": 1}
+    assert sweep["unattributed_frac_max"] == {"parent": 1.52e-3, "change": 8.5e-3}
+    # untraced runs carry no share
+    assert "unattributed_frac_max" not in bench_pair.summarize(DOC, BETTER)["certify/trace0"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gnsbound import oracle
 from gnsbound.errors import AccuracyError, DomainError
 from gnsbound.exponents import GnsProblem, LebesgueExponent, theta
 from gnsbound.optimizer import minimize
@@ -27,6 +28,7 @@ from gnsbound.oracle import (
     gaussian_lp_norm,
     gns_ratio,
     surface_area,
+    unit_heat_norm,
 )
 from lemmas import convolution_ratio, heat_l1_deriv_check, young_extremizer_check
 
@@ -195,6 +197,62 @@ class TestScaleCovariantRule:
         assert cold == warm
         assert len(backward) == len(cold)
         assert {row[:6]: row for row in backward} == {row[:6]: row for row in cold}
+
+    def test_one_measurement_per_unit_norm(self, monkeypatch):
+        calls = []
+        measure = oracle._norm_at_level
+
+        def spy(d, s, p, level):
+            calls.append((d, s, p.recip, level))
+            return measure(d, s, p, level)
+
+        grid, widths = default_parabolic_grid(), (0.5, 1.0, 2.0)
+        monkeypatch.setattr(oracle, "_norm_at_level", spy)
+        rows = check_parabolic(grid, widths).rows
+        monkeypatch.undo()
+        keys = {(d, s, p.recip) for d, s, _, p, _ in grid}
+        assert len(grid) * len(widths) == 774 and len(keys) == 53
+        assert len(calls) == 106
+        assert set(calls) == {(*key, level) for key in keys for level in ("coarse", "fine")}
+        for d, s, r, p, t, width, measured, _, _ in rows:
+            f = RadialTestFunction(width, d)
+            assert measured == fractional_heat_norm(f, s, t, p) / gaussian_lp_norm(width, d, r)
+
+    def test_negative_time_fails_after_its_unit_norm_was_measured(self):
+        grid = [(1, 0.5, ONE, TWO, 1.0), (1, 0.5, ONE, TWO, -1.0)]
+        with pytest.raises(DomainError):
+            check_parabolic(grid, (1.0,))
+
+    def test_unit_norm_accuracy_error_stops_the_sweep_at_its_first_row(self, monkeypatch):
+        calls = []
+        measure = oracle._norm_at_level
+
+        def disagreeing_at_s2(d, s, p, level):
+            calls.append((s, level))
+            value = measure(d, s, p, level)
+            return 1.1 * value if s == 2.0 and level == "coarse" else value
+
+        monkeypatch.setattr(oracle, "_norm_at_level", disagreeing_at_s2)
+        grid = [(1, 0.5, ONE, TWO, 1.0), (1, 2.0, ONE, TWO, 1.0), (1, 0.5, ONE, TWO, 10.0)]
+        with pytest.raises(AccuracyError, match="quadrature levels disagree"):
+            check_parabolic(grid, (0.7, 1.9))
+        assert calls == [(0.5, "coarse"), (0.5, "fine"), (2.0, "coarse"), (2.0, "fine")]
+
+    def test_time_is_checked_before_the_unit_norm(self, monkeypatch):
+        def unreachable(*args):
+            raise AccuracyError("the unit norm was measured")
+
+        monkeypatch.setattr(oracle, "_norm_at_level", unreachable)
+        with pytest.raises(DomainError, match="time must be nonnegative"):
+            fractional_heat_norm(RadialTestFunction(1.0, 1), 0.5, -0.1, TWO)
+
+    def test_unit_norm_domain_guards(self):
+        with pytest.raises(DomainError):
+            unit_heat_norm(4, 0.0, TWO)
+        with pytest.raises(DomainError):
+            unit_heat_norm(1, -1.0, TWO)
+        with pytest.raises(DomainError):
+            unit_heat_norm(1, -0.25, ONE)
 
 
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -18,8 +18,11 @@ over all runs each time a pair completes.  The file
 holds every run's metrics, exit code and output fingerprints
 (``fingerprint <label> sha256=<digest>`` lines), then, per workload and
 trace setting, each metric's per-side median and quartiles, the number of
-pairs the change won (``better`` as in the parent's ``BENCHMARK.json``), and
-whether the two sides' fingerprints agreed in every pair.
+pairs the change won (``better`` as in the parent's ``BENCHMARK.json``),
+whether the two sides' fingerprints agreed in every pair, and per side the
+runs that failed only the trace gate (``trace_gate_only_exits``: every failed
+command left more than the gate's share of its wall time outside the spans)
+and the largest ``trace.unattributed_frac_max`` of any run.
 
 Only the standard library is used, so the script runs wherever perfbench does.
 """
@@ -30,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -39,6 +43,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 AGMON = ["--d", "1", "--s", "0", "--p", "inf", "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"]
 ENTRY_POINT = "import sys; from gnsbound.cli import main; sys.exit(main(sys.argv[1:]))"
+# The problem a traced command reports when the trace gate
+# (``UNATTRIBUTED_TOLERANCE`` in perfbench/run.py) fails it.
+GATE_PROBLEM = re.compile(r"FAILED command \S+: self times leave \S+ of its wall time unaccounted for")
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -61,7 +68,7 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: i
         "failed": result.get("failed", 0),
         "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()},
         "fingerprints": sorted(line for line in lines if line.startswith("fingerprint ")),
-        "problems": [line for line in lines if line.startswith("FAILED ")][:5]
+        "problems": [line for line in lines if line.startswith("FAILED ")]
         + ([proc.stderr.strip()[-500:]] if proc.returncode and proc.stderr.strip() else []),
     }
 
@@ -76,6 +83,18 @@ def time_bound(tree: Path) -> float:
     if proc.returncode != 0:
         raise RuntimeError(f"bound failed in {tree}: {proc.stderr.decode().strip()}")
     return wall
+
+
+def failed_only_the_trace_gate(run: dict) -> bool:
+    """Whether every failure of a run that exited nonzero is a trace-gate problem.
+
+    Each gate problem counts one failed operation and prints one ``FAILED``
+    line, and perfbench prints at most 20 of them, so a run with any other
+    failure, or with more failures than lines, does not qualify.
+    """
+    lines = [line for line in run["problems"] if line.startswith("FAILED ")]
+    return (run["exit"] != 0 and 0 < run["failed"] == len(lines)
+            and all(GATE_PROBLEM.fullmatch(line) for line in lines))
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -104,11 +123,18 @@ def summarize(doc: dict, better: dict[str, str]) -> dict:
                 for side in SIDES
             },
             "nonzero_exits": {side: sum(p[side]["exit"] != 0 for p in pairs) for side in SIDES},
+            "trace_gate_only_exits": {
+                side: sum(failed_only_the_trace_gate(p[side]) for p in pairs) for side in SIDES
+            },
             "fingerprints_match": all(
                 p["parent"]["fingerprints"] == p["change"]["fingerprints"] for p in pairs
             ),
             "metrics": {},
         }
+        shares = {side: [p[side]["metrics"]["trace.unattributed_frac_max"] for p in pairs
+                         if "trace.unattributed_frac_max" in p[side]["metrics"]] for side in SIDES}
+        if all(shares.values()):
+            entry["unattributed_frac_max"] = {side: max(shares[side]) for side in SIDES}
         for name in metrics:
             complete = [p for p in pairs if all(name in p[side]["metrics"] for side in SIDES)]
             if not complete:
