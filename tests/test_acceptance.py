@@ -163,7 +163,14 @@ def test_criterion_5_smoothing_sweep(tmp_path):
     )
 
 
-def test_criterion_6_end_to_end_bounds():
+# sha256 of each certificate's 33-row check_gns CSV (3 widths x 11 dilations).
+GNS_SHA256 = {
+    "agmon": "9143df841228f290a1767b5ae95628d9a0b00a6649c8381ccc8c751effa14a6b",
+    "fractional": "ae025a5d0fd2d160e1fd7d3ce89ce6cc84bdcc69241d2e5aff52d594fc48e29b",
+}
+
+
+def test_criterion_6_end_to_end_bounds(tmp_path):
     dilations = [2.0**k for k in range(-5, 6)]
     values = {}
     for name, problem in (("agmon", AGMON), ("fractional", FRACTIONAL)):
@@ -172,6 +179,9 @@ def test_criterion_6_end_to_end_bounds():
         values[name] = cert.value
         report = check_gns(cert, widths=(0.5, 1.0, 2.0), dilations=dilations)
         assert report.ok, f"violations: {report.violations()[:5]}"
+        path = tmp_path / f"{name}.csv"
+        report.to_csv(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GNS_SHA256[name]
         for width in (0.5, 1.0, 2.0):
             ratios = [row[2] for row in report.rows if row[0] == width]
             spread = (max(ratios) - min(ratios)) / min(ratios)

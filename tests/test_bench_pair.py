@@ -96,6 +96,19 @@ def test_fresh_bound_quartiles(bench_pair):
     assert summary["fresh_bound_s"]["change"] == {"q1": 0.3, "median": 0.3, "q3": 0.3}
 
 
+def test_fresh_verify_quartiles(bench_pair):
+    doc = {"pairs": {}, "fresh_bound_s": {"parent": [], "change": []},
+           "fresh_verify_s": {"parent": [0.9, 0.8, 0.7, 1.0], "change": [0.75, 0.7, 0.8]}}
+    summary = bench_pair.summarize(doc, BETTER)
+    assert "fresh_bound_s" not in summary
+    assert summary["fresh_verify_s"]["parent"] == pytest.approx(
+        {"q1": 0.775, "median": 0.85, "q3": 0.925})
+    assert summary["fresh_verify_s"]["change"]["median"] == 0.75
+    # a document written before verify was timed summarizes without it
+    del doc["fresh_verify_s"]
+    assert "fresh_verify_s" not in bench_pair.summarize(doc, BETTER)
+
+
 def _traced(exit_code, failed, problems, share):
     run = _run(exit_code, failed, {"trace.unattributed_frac_max": share})
     run["problems"] = problems

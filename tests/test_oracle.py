@@ -202,9 +202,9 @@ class TestScaleCovariantRule:
         calls = []
         measure = oracle._norm_at_level
 
-        def spy(d, s, p, level):
+        def spy(d, s, p, level, far):
             calls.append((d, s, p.recip, level))
-            return measure(d, s, p, level)
+            return measure(d, s, p, level, far)
 
         grid, widths = default_parabolic_grid(), (0.5, 1.0, 2.0)
         monkeypatch.setattr(oracle, "_norm_at_level", spy)
@@ -218,6 +218,28 @@ class TestScaleCovariantRule:
             f = RadialTestFunction(width, d)
             assert measured == fractional_heat_norm(f, s, t, p) / gaussian_lp_norm(width, d, r)
 
+    def test_one_far_field_table_per_unit_norm(self, monkeypatch, agmon_cert):
+        tables = []
+        tabulate = oracle._tail_values
+
+        def spy(coeffs, s, d, y):
+            if np.size(y) > 1:
+                tables.append((d, s))
+            return tabulate(coeffs, s, d, y)
+
+        monkeypatch.setattr(oracle, "_tail_values", spy)
+        grid = default_parabolic_grid()
+        check_parabolic(grid, (0.5, 1.0, 2.0))
+        # one table per (d, s, p) with finite p and a non-smooth multiplier
+        keys = {(d, s, p.recip) for d, s, _, p, _ in grid}
+        far = [(d, s) for d, s, u in keys if u > 0.0 and not oracle._smooth_multiplier(s)]
+        assert len(tables) == len(far) == 23
+        assert sorted(tables) == sorted(far)
+        tables.clear()
+        # Agmon: only ||f'||_2 (s = 1, p = 2) has a far field, one table per row
+        check_gns(agmon_cert, widths=(1.0,), dilations=(0.25, 1.0, 4.0))
+        assert tables == [(1, 1.0)] * 3
+
     def test_negative_time_fails_after_its_unit_norm_was_measured(self):
         grid = [(1, 0.5, ONE, TWO, 1.0), (1, 0.5, ONE, TWO, -1.0)]
         with pytest.raises(DomainError):
@@ -227,9 +249,9 @@ class TestScaleCovariantRule:
         calls = []
         measure = oracle._norm_at_level
 
-        def disagreeing_at_s2(d, s, p, level):
+        def disagreeing_at_s2(d, s, p, level, far):
             calls.append((s, level))
-            value = measure(d, s, p, level)
+            value = measure(d, s, p, level, far)
             return 1.1 * value if s == 2.0 and level == "coarse" else value
 
         monkeypatch.setattr(oracle, "_norm_at_level", disagreeing_at_s2)

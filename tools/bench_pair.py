@@ -8,8 +8,9 @@ Each pair runs ``perfbench/run.py`` of both trees on the same seed, one after
 the other, the first side alternating from pair to pair, so that a drift of
 the host's speed falls on both sides alike.  Each tree runs its own
 ``perfbench/run.py`` unchanged, in its own directory.  The script also times
-a fresh-process ``gnsbound bound`` on the Agmon problem, alternating likewise
-(``--bound-repeats``).
+a fresh-process ``gnsbound bound`` on the Agmon problem and a fresh-process
+``gnsbound verify gns`` on one fractional-problem certificate, which the
+parent tree writes once, alternating likewise (``--bound-repeats``).
 
 Results go to ``BENCH_<label>.json`` in the current directory.  A run of
 the script adds its runs to that file if it exists, so one file can collect
@@ -37,11 +38,15 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 AGMON = ["--d", "1", "--s", "0", "--p", "inf", "--s1", "1", "--p1", "2", "--s2", "0", "--p2", "2"]
+FRACTIONAL = ["--d", "1", "--s", "0.5", "--p", "4", "--s1", "1", "--p1", "2", "--s2", "0",
+              "--p2", "2"]
+FRESH = ("fresh_bound_s", "fresh_verify_s")
 ENTRY_POINT = "import sys; from gnsbound.cli import main; sys.exit(main(sys.argv[1:]))"
 # The problem a traced command reports when the trace gate
 # (``UNATTRIBUTED_TOLERANCE`` in perfbench/run.py) fails it.
@@ -73,15 +78,15 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: i
     }
 
 
-def time_bound(tree: Path) -> float:
-    """Wall seconds of one fresh-process ``gnsbound bound`` on the Agmon problem."""
+def time_command(tree: Path, *argv: str) -> float:
+    """Wall seconds of one fresh-process ``gnsbound`` command of ``tree``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", ENTRY_POINT, "bound", *AGMON],
+    proc = subprocess.run([sys.executable, "-c", ENTRY_POINT, *argv],
                           cwd=tree, env=env, capture_output=True, timeout=120)
     wall = time.perf_counter() - start
     if proc.returncode != 0:
-        raise RuntimeError(f"bound failed in {tree}: {proc.stderr.decode().strip()}")
+        raise RuntimeError(f"{argv[0]} failed in {tree}: {proc.stderr.decode().strip()}")
     return wall
 
 
@@ -155,9 +160,10 @@ def summarize(doc: dict, better: dict[str, str]) -> dict:
             stats["pairs"] = len(complete)
             entry["metrics"][name] = stats
         summary[key] = entry
-    bound = doc["fresh_bound_s"]
-    if all(bound[side] for side in SIDES):
-        summary["fresh_bound_s"] = {side: quartiles(bound[side]) for side in SIDES}
+    for name in FRESH:
+        times = doc.get(name, {})
+        if all(times.get(side) for side in SIDES):
+            summary[name] = {side: quartiles(times[side]) for side in SIDES}
     return summary
 
 
@@ -172,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--bound-repeats", type=int, default=0,
-                        help="fresh-process bound timings per side")
+                        help="fresh-process bound and verify gns timings per side")
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -184,7 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     if out.exists():
         doc = json.loads(out.read_text(encoding="utf-8"))
     else:
-        doc = {"label": args.label, "pairs": {}, "fresh_bound_s": {side: [] for side in SIDES}}
+        doc = {"label": args.label, "pairs": {}}
+    for name in FRESH:
+        doc.setdefault(name, {side: [] for side in SIDES})
     doc["trees"] = {side: tree.name for side, tree in trees.items()}
     doc["host"] = {"nproc": os.cpu_count(), "python": platform.python_version(),
                    "machine": platform.machine()}
@@ -194,10 +202,15 @@ def main(argv: list[str] | None = None) -> int:
         doc["summary"] = summarize(doc, better)
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
-    for i in range(args.bound_repeats):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            doc["fresh_bound_s"][side].append(time_bound(trees[side]))
     if args.bound_repeats:
+        with tempfile.TemporaryDirectory() as tmp:
+            cert = str(Path(tmp) / "fractional.json")
+            time_command(trees["parent"], "bound", *FRACTIONAL, "--json-out", cert)
+            for name, argv in (("fresh_bound_s", ["bound", *AGMON]),
+                               ("fresh_verify_s", ["verify", "gns", "--cert", cert])):
+                for i in range(args.bound_repeats):
+                    for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                        doc[name][side].append(time_command(trees[side], *argv))
         save()
 
     if args.workload is not None:
